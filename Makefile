@@ -2,11 +2,6 @@
 # local mirror of the CI pipeline.
 #
 #   make test                  tier-1 unit suite (tests/)
-#   make kernel                build the compiled kernel tier in place
-#                              (repro._ckernel; select it with
-#                              REPRO_KERNEL=compiled)
-#   make kernel-check          build + tier-1 simulation/runtime tests under
-#                              REPRO_KERNEL=compiled (mirrors the CI job)
 #   make bench                 paper-figure benchmarks (benchmarks/)
 #   make bench JOBS=4          ... fanned out to 4 worker processes
 #   make bench CACHE=.repro-cache   ... with the on-disk cell cache
@@ -49,24 +44,13 @@ BASELINE ?= benchmarks/baselines/quick.json
 
 BENCH_ENV = $(if $(JOBS),REPRO_JOBS=$(JOBS)) $(if $(CACHE),REPRO_CACHE_DIR=$(CACHE))
 
-.PHONY: test kernel kernel-check bench perf perf-compare scenarios scenario-smoke distributed-smoke distributed-smoke-inproc distributed-stress store-smoke dashboard-smoke telemetry-smoke lint ci clean runtime-check runtime-goldens
+.PHONY: test bench perf perf-compare scenarios scenario-smoke distributed-smoke distributed-smoke-inproc distributed-stress store-smoke dashboard-smoke telemetry-smoke lint ci clean runtime-check runtime-goldens
 
 # Port the distributed smoke tier binds its campaign schedulers on.
 DIST_PORT ?= 7641
 
 test:
 	$(PYTHON) -m pytest -x -q
-
-# Build the optional compiled kernel tier (repro._ckernel) in place.  The
-# package never *requires* it -- REPRO_KERNEL=compiled silently degrades to
-# the pure tier when the extension is absent -- so build failures here are
-# made loud on purpose.
-kernel:
-	REPRO_CKERNEL=require $(PYTHON) setup.py build_ext --inplace
-
-kernel-check: kernel
-	REPRO_KERNEL=compiled $(PYTHON) -m pytest tests/simulation tests/runtime -q
-	REPRO_KERNEL=compiled PYTHONPATH=src $(PYTHON) -m repro.scenarios run --all --smoke
 
 bench:
 	$(BENCH_ENV) $(PYTHON) -m pytest benchmarks -q

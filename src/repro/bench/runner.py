@@ -224,8 +224,6 @@ def run_benchmarks(
 ) -> Dict[str, Any]:
     """Run ``cases`` and return the full (JSON-serialisable) report."""
 
-    from repro.simulation.kernel import requested_kernel, resolve_kernel
-
     results = []
     for case in cases:
         if progress is not None:
@@ -252,12 +250,6 @@ def run_benchmarks(
         "implementation": platform.python_implementation(),
         "machine": platform.machine(),
         "tier": tier,
-        # The simulation-kernel tier the timed runs actually executed on
-        # (requested via $REPRO_KERNEL, resolved against extension
-        # availability): pure-vs-compiled numbers must never be compared
-        # as if they were the same engine.
-        "kernel": resolve_kernel(),
-        "kernel_requested": requested_kernel(),
         "results": results,
     }
 

@@ -167,16 +167,13 @@ class SchedulingRuntime:
         hooks: Sequence[RuntimeHook] = (),
         config: Optional[RuntimeConfig] = None,
         trace_labels: bool = False,
-        kernel: Optional[str] = None,
     ) -> None:
         if not nodes:
             raise ValueError("the runtime needs at least one cluster node")
         names = [node.name for node in nodes]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate cluster node names: {names}")
-        # ``kernel`` selects the simulation kernel tier for this runtime's
-        # event dispatch (pure / compiled / auto; defaults to $REPRO_KERNEL).
-        self.sim = Simulator(trace_labels=trace_labels, kernel=kernel)
+        self.sim = Simulator(trace_labels=trace_labels)
         self.trace = Trace()
         self.node_list: List[ClusterNode] = list(nodes)
         self.nodes: Dict[str, ClusterNode] = {node.name: node for node in nodes}

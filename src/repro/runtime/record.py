@@ -7,11 +7,10 @@ the full event trace and the horizon; organisation-specific sections (Figure
 2 ratios, best-effort bag statistics, migration and fairness accounting) are
 filled in by the simulator that produced it and default to empty.
 
-``mode`` tells which organisation produced the record.  Thin *compat
-properties* reproduce the attribute surface of the three legacy result
-dataclasses (``SimulationResult``, ``GridSimulationResult``,
-``DecentralizedResult``) so existing callers migrate incrementally; those
-legacy names are now aliases of this class.
+``mode`` tells which organisation produced the record.  Thin convenience
+properties give the single-cluster view (``schedule``, ``criteria``,
+``policy``, ``makespan``) and the best-effort grid view
+(``local_schedules``, ``total_runs_completed``, ``grid_throughput()``).
 
 :class:`RunRecord` is the uniform per-execution view: one completed job run
 (name, cluster, start, runtime, processors), the row type the reporting
@@ -216,7 +215,7 @@ class SimulationRecord:
                 out["fairness_on_work"] = self.fairness.fairness_on_work
         return out
 
-    # -- compat: legacy SimulationResult surface ----------------------------
+    # -- single-cluster view ------------------------------------------------
     @property
     def schedule(self) -> Schedule:
         """The single-cluster schedule (single-cluster records only)."""
@@ -249,7 +248,7 @@ class SimulationRecord:
             return next(iter(self.cluster_criteria.values())).makespan
         return max((s.makespan() for s in self.schedules.values()), default=0.0)
 
-    # -- compat: legacy GridSimulationResult surface ------------------------
+    # -- best-effort grid view ----------------------------------------------
     @property
     def local_schedules(self) -> Dict[str, Schedule]:
         return self.schedules

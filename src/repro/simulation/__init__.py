@@ -26,7 +26,6 @@ here because the runtime itself builds on this package's kernel modules.
 
 from repro.simulation.engine import Simulator, Process, Timeout
 from repro.simulation.events import Event, EventQueue
-from repro.simulation.kernel import compiled_available, resolve_kernel
 from repro.simulation.resources import ProcessorPool, AllocationRequest
 from repro.simulation.tracing import Trace, TraceEvent
 
@@ -34,13 +33,9 @@ from repro.simulation.tracing import Trace, TraceEvent
 #: this package's kernel modules -- a direct import here would be circular).
 _LAZY = {
     "ClusterSimulator": "repro.simulation.cluster_sim",
-    "SimulationResult": "repro.simulation.cluster_sim",
     "compare_policies": "repro.simulation.cluster_sim",
     "CentralizedGridSimulator": "repro.simulation.grid_sim",
-    "GridSimulationResult": "repro.simulation.grid_sim",
-    "GridServer": "repro.simulation.grid_sim",
     "DecentralizedGridSimulator": "repro.simulation.decentralized",
-    "DecentralizedResult": "repro.simulation.decentralized",
 }
 
 __all__ = [
@@ -49,18 +44,13 @@ __all__ = [
     "Timeout",
     "Event",
     "EventQueue",
-    "compiled_available",
-    "resolve_kernel",
     "ProcessorPool",
     "AllocationRequest",
     "Trace",
     "TraceEvent",
     "ClusterSimulator",
-    "SimulationResult",
     "CentralizedGridSimulator",
-    "GridSimulationResult",
     "DecentralizedGridSimulator",
-    "DecentralizedResult",
 ]
 
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Generator, List, Optional
 
 from repro.simulation.events import Event, EventQueue
-from repro.simulation.kernel import load_ckernel, resolve_kernel
 
 
 @dataclass
@@ -134,12 +133,6 @@ class Simulator:
     ``trace_labels`` opts into per-event description strings (useful when
     debugging a simulation); it is off by default because building one
     f-string per scheduled event measurably slows the hot path down.
-
-    ``kernel`` selects the implementation tier (``pure`` / ``compiled`` /
-    ``auto``; see :mod:`repro.simulation.kernel`); it defaults to the
-    ``REPRO_KERNEL`` environment variable.  The tiers are observably
-    identical -- every digest-gated result is bit-for-bit the same -- so
-    switching is purely a performance decision.
     """
 
     __slots__ = (
@@ -151,18 +144,7 @@ class Simulator:
         "trace_labels",
     )
 
-    #: Implementation tier of this instance (overridden by the compiled tier).
-    kernel_tier = "pure"
-
-    def __new__(cls, *args: Any, **kwargs: Any) -> "Simulator":
-        # Constructing the base class transparently yields the compiled
-        # subclass when the resolved tier asks for it; explicit subclasses
-        # (and direct _CompiledSimulator construction) are left alone.
-        if cls is Simulator and resolve_kernel(kwargs.get("kernel")) == "compiled":
-            return object.__new__(_CompiledSimulator)
-        return object.__new__(cls)
-
-    def __init__(self, *, trace_labels: bool = False, kernel: Optional[str] = None) -> None:
+    def __init__(self, *, trace_labels: bool = False) -> None:
         self._queue = EventQueue()
         self._now = 0.0
         self._running = False
@@ -290,53 +272,3 @@ class Simulator:
     def __repr__(self) -> str:
         return f"Simulator(now={self._now:.3f}, pending={len(self._queue)})"
 
-
-class _CompiledSimulator(Simulator):
-    """Simulator backed by the ``repro._ckernel`` C core.
-
-    The core object implements the whole scheduling surface (push/schedule/
-    schedule_at/cancel/run/stop plus the EventQueue protocol), so the hot
-    methods are bound straight onto the instance: call sites pay one C call
-    with no python-level indirection.  Instance attributes shadow the pure
-    methods (plain functions are non-data descriptors), while ``now`` /
-    ``processed_events`` are re-exposed as properties reading the core.
-    """
-
-    # Subclass intentionally has no __slots__: the instance __dict__ holds
-    # the core-bound methods that shadow the pure-python hot paths.
-
-    kernel_tier = "compiled"
-
-    def __init__(self, *, trace_labels: bool = False, kernel: Optional[str] = None) -> None:
-        ckernel = load_ckernel()
-        if ckernel is None:  # pragma: no cover - guarded by resolve_kernel()
-            raise RuntimeError(
-                "compiled kernel requested but repro._ckernel is not built "
-                "(run `make kernel`)"
-            )
-        core = ckernel.KernelCore()
-        self._queue = core
-        self.trace_labels = trace_labels
-        self.schedule = core.schedule
-        self.schedule_at = core.schedule_at
-        self.cancel = core.cancel
-        self.run = core.run
-        self.stop = core.stop
-
-    @property
-    def now(self) -> float:
-        return self._queue.now
-
-    @property
-    def processed_events(self) -> int:
-        return self._queue.processed
-
-    @processed_events.setter
-    def processed_events(self, value: int) -> None:
-        self._queue.processed = value
-
-    def pending_events(self) -> int:
-        return len(self._queue)
-
-    def __repr__(self) -> str:
-        return f"Simulator(now={self._queue.now:.3f}, pending={len(self._queue)})"

@@ -38,13 +38,9 @@ from repro.core.policies.registry import (
     resolve_cluster_policies,
 )
 from repro.platform.grid import LightGrid
-from repro.runtime.hooks import BestEffortHook
-from repro.runtime.hooks import GridServer  # noqa: F401  (compat re-export)
+from repro.runtime import hooks as runtime_hooks
 from repro.runtime.lifecycle import ClusterNode, RuntimeConfig, SchedulingRuntime
 from repro.runtime.record import MODE_CENTRALIZED, SimulationRecord
-
-#: Unified result model; the historical name is kept as an alias.
-GridSimulationResult = SimulationRecord
 
 _CENTRALIZED_CONFIG = RuntimeConfig(
     preempt_best_effort=True,
@@ -95,7 +91,7 @@ class CentralizedGridSimulator:
         if unknown:
             raise ValueError(f"local jobs reference unknown clusters: {unknown}")
 
-        server = GridServer(grid_bags if self.best_effort_enabled else [])
+        server = runtime_hooks.GridServer(grid_bags if self.best_effort_enabled else [])
         nodes = [
             ClusterNode(
                 cluster.name,
@@ -108,7 +104,7 @@ class CentralizedGridSimulator:
         ]
         runtime = SchedulingRuntime(
             nodes,
-            hooks=[BestEffortHook(server)],
+            hooks=[runtime_hooks.BestEffortHook(server)],
             config=_CENTRALIZED_CONFIG,
             trace_labels=self.trace_labels,
         )

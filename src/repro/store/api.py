@@ -26,7 +26,6 @@ from any of them is bit-identical to a freshly computed one.
 from __future__ import annotations
 
 import json
-import warnings
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Union
 
@@ -267,19 +266,6 @@ def store_trace(
         )
     target.flush()
     return len(rows)
-
-
-def deprecated_csv_flag(csv_path: Optional[Path]) -> Optional[Path]:
-    """Handle a legacy ``--csv PATH`` flag: warn once, return it as ``--out``."""
-
-    if csv_path is not None:
-        warnings.warn(
-            "--csv is deprecated; use --out PATH (format inferred from the "
-            "suffix, or forced with --format csv)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return csv_path
 
 
 def iter_source_rows(source: Any) -> Iterator[Dict[str, Any]]:

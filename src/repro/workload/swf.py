@@ -24,6 +24,7 @@ generated workloads for inspection with external tools.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, TextIO, Union
 
@@ -178,9 +179,10 @@ def swf_to_jobs(text: Union[str, TextIO], *, strict: bool = False) -> List[Rigid
     Comment lines (``;`` / ``#``) are skipped -- use :func:`parse_swf_header`
     to interpret them.  Archive traces are frequently truncated mid-file or
     carry header lines that lost their comment marker, so by default
-    malformed data lines (too few fields, non-numeric values) are skipped
-    instead of raising; pass ``strict=True`` to turn them into
-    :class:`ValueError` again.
+    malformed data lines (too few fields, non-numeric values, or a submit
+    time, runtime or processor count that is ``nan``, infinite or overflows
+    a float) are skipped instead of raising; pass ``strict=True`` to turn
+    them into :class:`ValueError` again.
     """
 
     if hasattr(text, "read"):
@@ -202,13 +204,22 @@ def swf_to_jobs(text: Union[str, TextIO], *, strict: bool = False) -> List[Rigid
         try:
             submit = float(parts[1])
             runtime = float(parts[3])
-            nbproc = int(float(parts[4]))
+            procs = float(parts[4])
         except ValueError:
             if strict:
                 raise ValueError(
                     f"SWF line {line_number}: non-numeric job fields: {line!r}"
                 ) from None
             continue
+        # ``float`` accepts "nan" and "inf" and turns "1e400" into inf: a nan
+        # runtime would never complete, an infinite one never ends.
+        if not (math.isfinite(submit) and math.isfinite(runtime) and math.isfinite(procs)):
+            if strict:
+                raise ValueError(
+                    f"SWF line {line_number}: non-finite job fields: {line!r}"
+                )
+            continue
+        nbproc = int(procs)
         if runtime <= 0 or nbproc <= 0:
             # The archive uses -1 for unknown values; such jobs are skipped.
             continue
@@ -216,7 +227,7 @@ def swf_to_jobs(text: Union[str, TextIO], *, strict: bool = False) -> List[Rigid
         if len(parts) > 11:
             try:
                 candidate = float(parts[11])
-                if candidate > 0:
+                if 0 < candidate < math.inf:
                     weight = candidate
             except ValueError:
                 pass

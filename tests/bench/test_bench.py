@@ -263,17 +263,3 @@ class TestTimingGuard:
             subscription.close()
         # With the subscriber gone timing proceeds normally again.
         assert time_case(_toy_case(), "quick", repeats=1, warmup=0).digest
-
-    def test_report_records_resolved_kernel_tier(self, monkeypatch):
-        from repro.simulation.kernel import compiled_available
-
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        report = run_benchmarks([_toy_case()], tier="quick", repeats=1, warmup=0)
-        assert report["kernel"] == "pure"
-        assert report["kernel_requested"] == "pure"
-
-        monkeypatch.setenv("REPRO_KERNEL", "compiled")
-        report = run_benchmarks([_toy_case()], tier="quick", repeats=1, warmup=0)
-        assert report["kernel_requested"] == "compiled"
-        expected = "compiled" if compiled_available() else "pure"
-        assert report["kernel"] == expected

@@ -53,10 +53,11 @@ class TestStatsPayload:
         rates = SchedulerStats().to_payload()["rates"]
         assert set(rates.values()) == {0.0}
 
-    def test_as_dict_is_a_deprecated_alias_of_counters(self):
+    def test_counters_is_the_plain_count_mapping(self):
         stats = SchedulerStats(results=3)
-        with pytest.warns(DeprecationWarning, match="as_dict\\(\\) is deprecated"):
-            assert stats.as_dict() == stats.counters()
+        assert stats.counters()["results"] == 3
+        assert stats.to_payload()["counters"] == stats.counters()
+        assert not hasattr(stats, "as_dict")
 
 
 class TestCampaignEventStream:

@@ -6,6 +6,9 @@ process-pool executor.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import sys
 import time
 
 import numpy as np
@@ -42,10 +45,44 @@ def failing_on_three(seed, n):
     return {"n_squared": n * n}
 
 
-def sleeping_cell(seed, slot):
-    """A cell dominated by waiting (I/O-like): overlaps even on one core."""
+class OverlapProbe:
+    """Shared counters that the cells of a forked pool update."""
 
-    time.sleep(0.02)
+    def __init__(self):
+        ctx = multiprocessing.get_context("fork")
+        self.lock = ctx.Lock()
+        self.in_flight = ctx.RawValue("i", 0)
+        self.peak = ctx.RawValue("i", 0)
+        self.worker_cells = ctx.RawValue("i", 0)
+        self.gave_up = ctx.RawValue("b", 0)
+        self.parent = os.getpid()
+
+
+#: Installed by a test before the pool forks; ``None`` runs cells plainly.
+OVERLAP_PROBE = None
+
+
+def overlapping_cell(seed, slot):
+    """Count the cells in flight, then wait until two run at once.
+
+    The wait ends as soon as a second cell starts, so a pool that overlaps
+    cells passes however slow the host is; the 30 s bound only stops a pool
+    that runs one cell at a time from hanging the suite.
+    """
+
+    probe = OVERLAP_PROBE
+    if probe is not None:
+        with probe.lock:
+            probe.in_flight.value += 1
+            probe.peak.value = max(probe.peak.value, probe.in_flight.value)
+            probe.worker_cells.value += os.getpid() != probe.parent
+        deadline = time.monotonic() + 30.0
+        while probe.peak.value < 2 and not probe.gave_up.value:
+            if time.monotonic() > deadline:
+                probe.gave_up.value = 1
+            time.sleep(0.001)
+        with probe.lock:
+            probe.in_flight.value -= 1
     return {"slot": slot, "seed_used": seed}
 
 
@@ -174,23 +211,22 @@ class TestParallelIdentity:
         assert pooled.executor == "process"
         assert pooled.rows == serial.rows
 
-    def test_parallel_sweep_is_faster_on_overlappable_cells(self):
-        """64 wait-bound cells: the pool overlaps them, serial cannot.
+    def test_pool_runs_cells_at_the_same_time(self, monkeypatch):
+        """64 cells: the pool runs at least two at once, in worker processes."""
 
-        Uses sleep-dominated cells so the speedup shows regardless of the
-        number of physical cores (on >= 2 cores CPU-bound cells scale the
-        same way).
-        """
-
-        grid = {"slot": list(range(16))}  # x4 reps = 64 cells, ~20ms each
-        serial = run_experiment("speed", sleeping_cell, grid,
+        grid = {"slot": list(range(16))}  # x4 reps = 64 cells
+        serial = run_experiment("overlap", overlapping_cell, grid,
                                 repetitions=4, executor="serial")
-        pooled = run_experiment("speed", sleeping_cell, grid,
-                                repetitions=4, executor=ProcessPoolExecutor(8))
+        probe = OverlapProbe()
+        monkeypatch.setattr(sys.modules[__name__], "OVERLAP_PROBE", probe)
+        pooled = run_experiment("overlap", overlapping_cell, grid, repetitions=4,
+                                executor=ProcessPoolExecutor(8, start_method="fork"))
         assert pooled.rows == serial.rows
         assert len(serial) == 64
-        # Serial: >= 64 * 20ms = 1.28s.  Pool of 8: ~8 batches + startup.
-        assert pooled.elapsed_seconds < serial.elapsed_seconds * 0.7
+        assert not probe.gave_up.value
+        assert probe.peak.value >= 2
+        assert probe.worker_cells.value == 64
+        assert probe.in_flight.value == 0
 
     def test_progress_and_timing_capture(self):
         # progress=/on_row= are deprecated shims around listener=; they

@@ -321,31 +321,3 @@ class TestUnifiedReporting:
         table = runs_table(result, limit=2)
         assert "running" in table
         assert "head" not in table  # limited to the first two starts
-
-
-class TestDeprecatedShims:
-    def test_queue_policy_names_still_importable_with_warning(self):
-        import repro.simulation.cluster_sim as cluster_sim
-
-        with pytest.warns(DeprecationWarning):
-            policy_cls = cluster_sim.QueuePolicy
-        from repro.core.policies.online import SchedulingPolicy
-
-        assert policy_cls is SchedulingPolicy
-        with pytest.warns(DeprecationWarning):
-            mapping = cluster_sim.QUEUE_POLICIES
-        assert set(mapping) == {"fifo", "backfill", "smallest-first"}
-        with pytest.warns(DeprecationWarning):
-            from repro.simulation.cluster_sim import FifoPolicy as shimmed
-        assert shimmed is not None
-
-    def test_legacy_result_names_are_aliases(self):
-        from repro.simulation import (
-            DecentralizedResult,
-            GridSimulationResult,
-            SimulationResult,
-        )
-
-        assert SimulationResult is SimulationRecord
-        assert GridSimulationResult is SimulationRecord
-        assert DecentralizedResult is SimulationRecord

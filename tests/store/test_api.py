@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 
 import pytest
@@ -16,7 +15,6 @@ from repro.store.api import (
     RowSource,
     coerce_sink,
     compose_row,
-    deprecated_csv_flag,
     infer_format,
     read_rows,
     union_columns,
@@ -138,14 +136,3 @@ class TestFormats:
 
         with pytest.raises(StoreUnavailableError, match="analytics"):
             write_rows([{"a": 1}], tmp_path / "rows.parquet")
-
-
-class TestDeprecatedCsvFlag:
-    def test_warns_and_passes_through(self):
-        with pytest.warns(DeprecationWarning, match="--out"):
-            assert deprecated_csv_flag(Path("x.csv")) == Path("x.csv")
-
-    def test_silent_on_none(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert deprecated_csv_flag(None) is None

@@ -1,8 +1,11 @@
 """Unit tests of arrival processes, parametric bags, communities and SWF I/O."""
 
 import io
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.job import MoldableJob, ParametricSweep
 from repro.workload.arrivals import (
@@ -182,6 +185,87 @@ class TestSWF:
         bag = ParametricSweep(name="s", n_runs=3, run_time=1.0)
         with pytest.raises(TypeError):
             jobs_to_swf([bag])
+
+
+#: One good job plus data lines whose submit time, runtime or processor
+#: count is nan, infinite or overflows a float.
+HOSTILE_ROWS = (
+    "2 0.0 0 nan 2",
+    "3 0.0 0 inf 2",
+    "4 0.0 0 1e400 2",
+    "5 0.0 0 5.0 1e400",
+    "6 0.0 0 5.0 inf",
+    "7 0.0 0 5.0 nan",
+    "8 nan 0 5.0 2",
+    "9 inf 0 5.0 2",
+    "10 -inf 0 5.0 2",
+    "11 1e400 0 5.0 2",
+)
+GOOD_ROW = "1 3.0 0 5.0 2"
+HOSTILE_TRACE = "\n".join((GOOD_ROW,) + HOSTILE_ROWS) + "\n"
+
+
+class TestSWFHostileFields:
+    @pytest.mark.parametrize("row", HOSTILE_ROWS)
+    def test_non_finite_row_is_skipped(self, row):
+        (job,) = swf_to_jobs(f"{GOOD_ROW}\n{row}\n")
+        assert job.name == "job-1"
+
+    @pytest.mark.parametrize("row", HOSTILE_ROWS)
+    def test_non_finite_row_raises_in_strict_mode(self, row):
+        with pytest.raises(ValueError, match="SWF line 2: non-finite"):
+            swf_to_jobs(f"{GOOD_ROW}\n{row}\n", strict=True)
+
+    def test_infinite_weight_falls_back_to_one(self):
+        (job,) = swf_to_jobs("1 0.0 0 5.0 2 -1 -1 2 5.0 -1 -1 inf\n")
+        assert job.weight == 1.0
+
+    def test_cluster_simulation_over_the_hostile_trace_completes(self):
+        from repro.simulation.cluster_sim import ClusterSimulator
+
+        result = ClusterSimulator(4, policy="fifo").run(swf_to_jobs(HOSTILE_TRACE))
+        assert result.makespan == pytest.approx(8.0)
+
+    def test_scenario_over_the_hostile_trace_completes(self):
+        from repro.scenarios import run_scenario
+        from repro.scenarios.spec import ComponentSpec, ScenarioSpec
+
+        spec = ScenarioSpec(
+            name="test.swf-hostile",
+            model="cluster-online",
+            platform=ComponentSpec("count", {"machine_count": 4}),
+            workload=ComponentSpec("swf", {"text": HOSTILE_TRACE}),
+            metrics=("makespan", "n_jobs"),
+            repetitions=1,
+        )
+        (row,) = run_scenario(spec).rows
+        assert row["n_jobs"] == 1 and row["makespan"] == pytest.approx(8.0)
+
+
+#: Tokens a hostile SWF field may hold: numbers of every magnitude and
+#: sign, the non-finite spellings ``float`` accepts, and junk.
+_SWF_TOKENS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(min_value=-(10**30), max_value=10**30).map(str),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "1e400", "-1e400",
+                     "1e-400", "0x10", "abc", "-1", "0", "1_0"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(_SWF_TOKENS, min_size=0, max_size=18), max_size=6),
+       strict=st.booleans())
+def test_swf_to_jobs_yields_finite_jobs_or_value_error(rows, strict):
+    text = "\n".join(" ".join(row) for row in rows)
+    try:
+        jobs = swf_to_jobs(text, strict=strict)
+    except ValueError:
+        assert strict
+        return
+    for job in jobs:
+        assert math.isfinite(job.duration) and job.duration > 0
+        assert job.nbproc >= 1
+        assert math.isfinite(job.release_date) and job.release_date >= 0
 
 
 class TestDiurnalArrivals:
