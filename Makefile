@@ -5,10 +5,10 @@
 #   make bench                 paper-figure benchmarks (benchmarks/)
 #   make bench JOBS=4          ... fanned out to 4 worker processes
 #   make bench CACHE=.repro-cache   ... with the on-disk cell cache
-#   make perf                  repro.bench quick tier -> BENCH_<ts>.json
-#   make perf-compare          quick tier + diff against the committed baseline
-#   make runtime-check         golden-digest equivalence + warn-only perf
-#                              compare (mirrors the CI runtime-equivalence job)
+#   make perf                  perfbench on all four workloads (offline,
+#                              online, grid, campaign); one metrics block each
+#   make runtime-check         golden-digest equivalence (mirrors the CI
+#                              runtime-equivalence job)
 #   make runtime-goldens       re-pin tests/runtime/goldens.json (intentional
 #                              behavior changes only)
 #   make scenarios             list the registered scenarios
@@ -32,19 +32,16 @@
 #                              forwarded worker.* rows landed, and SQL/py
 #                              query agreement (mirrors the CI job)
 #   make lint                  ruff check (byte-compilation fallback)
-#   make ci                    lint + test + scenario smoke + warn-only perf
-#                              compare (mirrors CI)
+#   make ci                    lint + test + scenario smoke (mirrors CI)
 #   make clean                 remove caches and stale bytecode
 
 PYTHON ?= python
 JOBS ?=
 CACHE ?=
-BENCH_THRESHOLD ?= 0.2
-BASELINE ?= benchmarks/baselines/quick.json
 
 BENCH_ENV = $(if $(JOBS),REPRO_JOBS=$(JOBS)) $(if $(CACHE),REPRO_CACHE_DIR=$(CACHE))
 
-.PHONY: test bench perf perf-compare scenarios scenario-smoke distributed-smoke distributed-smoke-inproc distributed-stress store-smoke dashboard-smoke telemetry-smoke lint ci clean runtime-check runtime-goldens
+.PHONY: test bench perf scenarios scenario-smoke distributed-smoke distributed-smoke-inproc distributed-stress store-smoke dashboard-smoke telemetry-smoke lint ci clean runtime-check runtime-goldens
 
 # Port the distributed smoke tier binds its campaign schedulers on.
 DIST_PORT ?= 7641
@@ -55,25 +52,23 @@ test:
 bench:
 	$(BENCH_ENV) $(PYTHON) -m pytest benchmarks -q
 
+# The repository's benchmark (perfbench/README.md): each workload's sweeps
+# timed end to end on this machine, every row checked.  Compare two revisions
+# by running this on both checkouts of the same machine; a wall time from
+# another machine is not evidence.
 perf:
-	PYTHONPATH=src $(PYTHON) -m repro.bench --quick
-
-# Run the quick tier and compare against the committed baseline (warn-only:
-# local timing noise should not fail the build; CI uses the same mode).
-# Digest drift is never noise, so --fail-on-digest keeps that gate hard.
-perf-compare:
-	@REPORT=$$(PYTHONPATH=src $(PYTHON) -m repro.bench --quick) && \
-	PYTHONPATH=src $(PYTHON) -m repro.bench compare $(BASELINE) $$REPORT \
-		--threshold $(BENCH_THRESHOLD) --warn-only --fail-on-digest
+	@for workload in offline online grid campaign; do \
+		echo "== perfbench $$workload"; \
+		$(PYTHON) perfbench/run.py --workload $$workload --seconds 20 || exit $$?; \
+	done
 
 # Prove the unified runtime is bit-identical to the pinned goldens
-# (tests/runtime/goldens.json), then measure the kernel speed against the
-# committed baseline in warn-only mode (mirrors the CI runtime-equivalence
+# (tests/runtime/goldens.json: the legacy simulators, one case per workload
+# class and every scenario's smoke tier; mirrors the CI runtime-equivalence
 # job).  Regenerate the goldens with `make runtime-goldens` ONLY for an
 # intentional behavior change, and say so in the commit message.
 runtime-check:
 	$(PYTHON) -m pytest tests/runtime -q
-	$(MAKE) perf-compare
 
 runtime-goldens:
 	PYTHONPATH=src $(PYTHON) -m repro.runtime.golden capture
@@ -163,7 +158,6 @@ ci:
 	$(MAKE) lint
 	$(MAKE) test
 	$(MAKE) scenario-smoke
-	$(MAKE) perf-compare
 
 clean:
 	rm -rf .pytest_cache .benchmarks .repro-cache .store-smoke

@@ -5,7 +5,7 @@ one machine; this package is the execution layer that outgrows it.  A
 central :class:`~repro.distributed.scheduler.Scheduler` -- a single-event-
 loop asyncio state machine -- owns the cell queue of one *campaign* (a
 sweep routed through the harness) and serves it to any number of
-:class:`~repro.distributed.worker.Worker` s, which register, heartbeat,
+:class:`~repro.distributed.worker.AsyncWorker` s, which register, heartbeat,
 pull cells and stream outcomes back.  The messages are length-prefixed JSON
 frames (:mod:`repro.distributed.protocol`) carried over a pluggable comm
 layer (:mod:`repro.distributed.comm`): ``tcp://`` sockets for real fleets
@@ -26,8 +26,8 @@ through an append-only JSONL journal
 The public entry points:
 
 * :class:`~repro.distributed.executor.DistributedExecutor` plugs the
-  runtime into the ordinary ``Executor`` interface, so any sweep, scenario
-  or bench case runs distributed unchanged and bit-identically (selected by
+  runtime into the ordinary ``Executor`` interface, so any sweep or
+  scenario runs distributed unchanged and bit-identically (selected by
   ``REPRO_JOBS=tcp://host:port``, ``REPRO_JOBS=inproc://``,
   ``executor="distributed"``, or explicitly);
 * ``python -m repro.distributed`` drives it from the command line
@@ -58,7 +58,7 @@ from repro.distributed.protocol import (
     parse_address,
 )
 from repro.distributed.scheduler import CampaignStalled, Scheduler, SchedulerStats
-from repro.distributed.worker import AsyncWorker, Worker, run_worker
+from repro.distributed.worker import AsyncWorker, run_worker
 
 __all__ = [
     "AsyncWorker",
@@ -75,7 +75,6 @@ __all__ = [
     "Scheduler",
     "SchedulerStats",
     "UnknownSchemeError",
-    "Worker",
     "executor_from_address",
     "format_address",
     "inproc_fleet",

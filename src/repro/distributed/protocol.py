@@ -12,10 +12,7 @@ pickled and base64-embedded via :func:`encode_payload` /
 This module owns the *format* only; transport lives in the pluggable comm
 layer (:mod:`repro.distributed.comm`): the ``tcp://`` backend frames
 asyncio streams with these helpers, the ``inproc://`` backend reuses the
-same envelope checks without sockets, and the synchronous
-:func:`send_message` / :func:`recv_message` pair remains for plain-socket
-peers (tests drive the scheduler through raw sockets to prove the wire
-format did not drift).
+same envelope checks without sockets.
 
 Message vocabulary (all envelopes carry ``"op"``):
 
@@ -60,7 +57,7 @@ import base64
 import json
 import os
 import pickle
-import socket
+import reprlib
 import struct
 from typing import Any, Dict, Mapping, Tuple
 
@@ -155,7 +152,7 @@ def format_address(host: str, port: int) -> str:
     return f"{SCHEME}://{host}:{port}"
 
 
-# -- frame encoding (shared by the sync socket path and the comm backends) ---
+# -- frame encoding (shared by the comm backends) ---
 
 
 def dump_frame(message: Mapping[str, Any]) -> bytes:
@@ -189,8 +186,10 @@ def load_frame(blob: bytes) -> Dict[str, Any]:
         message = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as error:
         raise ProtocolError(f"undecodable frame: {error}") from error
+    except RecursionError:
+        raise ProtocolError("undecodable frame: nested too deeply") from None
     if not isinstance(message, dict) or "op" not in message:
-        raise ProtocolError(f"frame is not an op envelope: {message!r}")
+        raise ProtocolError(f"frame is not an op envelope: {reprlib.repr(message)}")
     return message
 
 
@@ -205,45 +204,6 @@ def header_size() -> int:
 def unpack_header(header: bytes) -> int:
     (length,) = _HEADER.unpack(header)
     return length
-
-
-# -- synchronous socket framing (plain-socket peers and wire-format tests) ---
-
-
-def send_message(sock: socket.socket, message: Mapping[str, Any]) -> None:
-    """Serialise ``message`` as one frame and write it out completely."""
-
-    blob = dump_frame(message)
-    try:
-        sock.sendall(_HEADER.pack(len(blob)) + blob)
-    except (BrokenPipeError, ConnectionResetError) as error:
-        raise ConnectionClosed(f"peer went away while sending: {error}") from error
-
-
-def recv_message(sock: socket.socket) -> Dict[str, Any]:
-    """Read exactly one frame and decode it; raises on EOF or corruption."""
-
-    header = _recv_exact(sock, _HEADER.size)
-    length = unpack_header(header)
-    check_frame_length(length)
-    return load_frame(_recv_exact(sock, length))
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    remaining = n
-    while remaining:
-        try:
-            chunk = sock.recv(remaining)
-        except (ConnectionResetError, ConnectionAbortedError) as error:
-            raise ConnectionClosed(f"peer reset the connection: {error}") from error
-        if not chunk:
-            raise ConnectionClosed(
-                f"connection closed with {remaining} of {n} bytes outstanding"
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
 
 
 # -- payload encoding --------------------------------------------------------

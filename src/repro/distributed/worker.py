@@ -31,7 +31,7 @@ The cell function travels pickled inside the first ``task`` of each
 campaign and is cached for the campaign's duration, so it must either be
 importable from the worker process (module-level functions,
 ``functools.partial`` of them -- true for every registered scenario and
-bench case) or the worker must share the submitting process: forked, as
+sweep) or the worker must share the submitting process: forked, as
 :class:`~repro.distributed.executor.DistributedExecutor` spawns its local
 ``tcp://`` mini-cluster, or literally the same process, as ``inproc://``
 fleets are -- both keep even test-local functions picklable by reference.
@@ -42,9 +42,8 @@ bounds how long it lingers without useful work (connection attempts
 included) before exiting -- the knob CI uses to make workers self-reap.
 
 :class:`AsyncWorker` is the state machine itself (1000 of them fit on one
-event loop -- see :meth:`Scheduler.spawn_local_worker`); :class:`Worker`
-wraps it behind the old synchronous ``run()`` surface for worker processes
-and the CLI.
+event loop -- see :meth:`Scheduler.spawn_local_worker`); worker processes
+and the CLI run one on a fresh event loop through :func:`run_worker`.
 """
 
 from __future__ import annotations
@@ -440,42 +439,6 @@ class AsyncWorker:
             )
 
 
-class Worker:
-    """The synchronous facade: one worker process' connect-and-serve loop."""
-
-    def __init__(
-        self,
-        address: str,
-        *,
-        worker_id: Optional[str] = None,
-        max_idle: Optional[float] = None,
-        reconnect_delay: float = RECONNECT_DELAY,
-        once: bool = False,
-        log: Optional[Callable[[str], None]] = None,
-        telemetry: Optional[bool] = None,
-    ) -> None:
-        self._worker = AsyncWorker(
-            address,
-            worker_id=worker_id,
-            max_idle=max_idle,
-            reconnect_delay=reconnect_delay,
-            once=once,
-            log=log,
-            telemetry=telemetry,
-        )
-        self.address = self._worker.address
-        self.worker_id = self._worker.worker_id
-
-    @property
-    def cells_executed(self) -> int:
-        return self._worker.cells_executed
-
-    def run(self) -> int:
-        """Serve campaigns until idle for too long; returns cells executed."""
-
-        return asyncio.run(self._worker.run())
-
-
 def run_worker(
     address: str,
     *,
@@ -485,13 +448,19 @@ def run_worker(
     log: Optional[Callable[[str], None]] = None,
     telemetry: Optional[bool] = None,
 ) -> int:
-    """Module-level entry point (picklable as a ``multiprocessing`` target)."""
+    """Serve campaigns on a fresh event loop; returns cells executed.
 
-    return Worker(
-        address,
-        worker_id=worker_id,
-        max_idle=max_idle,
-        once=once,
-        log=log,
-        telemetry=telemetry,
-    ).run()
+    The module-level entry point of worker processes and the CLI (picklable
+    as a ``multiprocessing`` target).
+    """
+
+    return asyncio.run(
+        AsyncWorker(
+            address,
+            worker_id=worker_id,
+            max_idle=max_idle,
+            once=once,
+            log=log,
+            telemetry=telemetry,
+        ).run()
+    )

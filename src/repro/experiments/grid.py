@@ -132,25 +132,6 @@ class CellFunction:
         )
 
 
-def _cell_key_uncached(experiment: str, cell: Cell, version: str = "") -> str:
-    """Reference implementation of :func:`cell_key` (no precomputation).
-
-    Kept verbatim as the ground truth: :class:`CellKeyer` must produce
-    byte-identical blobs (a test asserts it), because these hashes key
-    on-disk caches, campaign journals and store partitions.
-    """
-
-    payload = {
-        "experiment": experiment,
-        "params": [[k, repr(v)] for k, v in cell.params],
-        "seed": cell.seed,
-        "repetition": cell.repetition,
-        "version": version,
-    }
-    blob = json.dumps(payload, sort_keys=True, default=repr)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 class CellKeyer:
     """Precomputed :func:`cell_key` builder for one (experiment, version).
 

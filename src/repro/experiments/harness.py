@@ -31,7 +31,7 @@ import inspect
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.executors import ExecutorSpec, resolve_executor
@@ -211,8 +211,6 @@ def run_experiment(
     cache_version: Optional[str] = None,
     sink: Any = None,
     listener: Any = None,
-    progress: Optional[Callable[[str], None]] = None,
-    on_row: Optional[Callable[[Dict[str, Any]], None]] = None,
     capture_errors: bool = False,
 ) -> ExperimentResult:
     """Run ``run(seed=..., **params)`` over the whole parameter grid.
@@ -249,14 +247,6 @@ def run_experiment(
         typed cell-lifecycle notifications (on_sweep_start / on_cell_start /
         on_row / on_error / on_sweep_end).  The process-wide telemetry bus
         is always notified as well, so the dashboard observes every sweep.
-    progress:
-        Deprecated (emits ``DeprecationWarning``): called with a one-line
-        message as each cell completes.  Use
-        ``listener=CallbackListener(progress=...)`` instead.
-    on_row:
-        Deprecated (emits ``DeprecationWarning``): called with each
-        finished row, in order.  Use
-        ``listener=CallbackListener(on_row=...)`` instead.
     capture_errors:
         When false (default) a failing cell raises
         :class:`CellExecutionError` with the failing configuration attached;
@@ -265,7 +255,7 @@ def run_experiment(
     """
 
     from repro.store.api import coerce_sink, compose_row
-    from repro.telemetry import FanoutListener, get_bus, listener_with_callbacks
+    from repro.telemetry import FanoutListener, get_bus
     from repro.telemetry.spans import SpanRecorder
 
     # Span-gated instrumentation: enabled only when the bus has a live
@@ -277,8 +267,7 @@ def run_experiment(
     backend = resolve_executor(executor)
     store = ResultCache.coerce(cache)
     row_sink = coerce_sink(sink)
-    caller_listener = listener_with_callbacks(listener, progress, on_row)
-    notify = FanoutListener([get_bus(), caller_listener])
+    notify = FanoutListener([get_bus(), listener])
     version = cache_version if cache_version is not None else (
         run_fingerprint(run) if (store is not None or row_sink is not None) else ""
     )
@@ -373,7 +362,6 @@ class ExperimentRunner:
         self,
         *,
         listener: Any = None,
-        progress: Optional[Callable[[str], None]] = None,
         executor: ExecutorSpec = None,
         cache: Union[None, str, Path, ResultCache] = None,
     ) -> ExperimentResult:
@@ -386,7 +374,6 @@ class ExperimentRunner:
             executor=executor,
             cache=cache,
             listener=listener,
-            progress=progress,
         )
 
 

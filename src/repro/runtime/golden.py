@@ -8,7 +8,10 @@ SHA-256 digests over canonical, repr-exact serializations of
   (:class:`~repro.simulation.cluster_sim.ClusterSimulator`,
   :class:`~repro.simulation.grid_sim.CentralizedGridSimulator`,
   :class:`~repro.simulation.decentralized.DecentralizedGridSimulator`),
-  including the full event trace, and
+  including the full event trace,
+* one fixed case per workload class: raw event-kernel churn, the Figure-2
+  sweep, an on-line cluster, the CIMENT grid and a DLT multi-round
+  distribution, and
 * the result rows of every registered scenario's smoke tier.
 
 ``python -m repro.runtime.golden capture [path]`` records the digests of the
@@ -139,8 +142,8 @@ def run_cluster_case() -> Dict[str, Any]:
     return payload
 
 
-def run_centralized_case() -> Dict[str, Any]:
-    """Fixed seeded CIMENT run with best-effort bags, kills and resubmits."""
+def _ciment_run(jobs_per_community: int) -> Any:
+    """Seeded CIMENT grid run: community workloads plus best-effort bags."""
 
     from repro.platform.ciment import ciment_grid
     from repro.simulation.grid_sim import CentralizedGridSimulator
@@ -151,11 +154,19 @@ def run_centralized_case() -> Dict[str, Any]:
     bags = []
     for index, cluster in enumerate(sorted(grid, key=lambda c: c.name)):
         local[cluster.name] = community_workload(
-            cluster.community, 6, cluster.processor_count, random_state=100 + index
+            cluster.community,
+            jobs_per_community,
+            cluster.processor_count,
+            random_state=100 + index,
         )
         bags.extend(grid_workload(cluster.community, random_state=200 + index))
-    result = CentralizedGridSimulator(grid, local_policy="backfill").run(local, bags)
-    return centralized_result_payload(result)
+    return CentralizedGridSimulator(grid, local_policy="backfill").run(local, bags)
+
+
+def run_centralized_case() -> Dict[str, Any]:
+    """Fixed seeded CIMENT run with best-effort bags, kills and resubmits."""
+
+    return centralized_result_payload(_ciment_run(6))
 
 
 def run_decentralized_case() -> Dict[str, Any]:
@@ -182,10 +193,134 @@ def run_decentralized_case() -> Dict[str, Any]:
     return decentralized_result_payload(result)
 
 
+# ---------------------------------------------------------------------------
+# One case per workload class: kernel churn, the Figure-2 sweep, an on-line
+# cluster, the CIMENT grid of section 5.2 and a DLT multi-round distribution
+# ---------------------------------------------------------------------------
+
+
+def run_kernel_churn_case(n_events: int = 60_000, chains: int = 64) -> Dict[str, Any]:
+    """Self-rescheduling timer chains hammering the event queue.
+
+    ``chains`` concurrent callbacks each reschedule themselves with seeded
+    pseudo-random delays quantised to 0.25 time units, so many events tie on
+    the same timestamp and the (time, priority, seq) tie-break, cancellation
+    and same-time dispatch paths are all exercised.  Every chain also
+    schedules-and-cancels a decoy event each step.
+    """
+
+    import random
+
+    from repro.simulation.engine import Simulator
+
+    sim = Simulator()
+    rng = random.Random(20040426)
+    delays = [round(rng.random() * 16.0) * 0.25 + 0.25 for _ in range(1024)]
+    per_chain = n_events // chains
+    checksum: List[str] = []
+    fired = [0]
+
+    def make_chain(index: int) -> Any:
+        remaining = [per_chain]
+
+        def tick() -> None:
+            fired[0] += 1
+            if fired[0] % 97 == 0:
+                checksum.append(repr(sim.now))
+            remaining[0] -= 1
+            if remaining[0] > 0:
+                slot = (index * 31 + remaining[0]) % 1024
+                decoy = sim.schedule(delays[(slot + 7) % 1024], _never)
+                sim.cancel(decoy)
+                sim.schedule(delays[slot], tick, priority=index % 3)
+
+        return tick
+
+    def _never() -> None:  # cancelled decoys must not fire
+        raise AssertionError("cancelled event fired")
+
+    for index in range(chains):
+        sim.schedule(delays[index % 1024], make_chain(index), priority=index % 3)
+    sim.run()
+    return {"now": repr(sim.now), "fired": fired[0], "checksum": checksum}
+
+
+def run_figure2_case() -> List[Any]:
+    """The Figure-2 bi-criteria sweep (both families) through the harness."""
+
+    from repro.experiments.figure2 import Figure2Config, run_figure2
+
+    config = Figure2Config(task_counts=(50, 100), repetitions=1)
+    points = run_figure2(config, executor="serial")
+    return [
+        (p.family, p.n_tasks, p.seed, repr(p.wici_ratio), repr(p.cmax_ratio))
+        for p in points
+    ]
+
+
+def run_cluster_online_case() -> Dict[str, Any]:
+    """On-line single-cluster simulation of 300 jobs under backfilling."""
+
+    from repro.simulation.cluster_sim import ClusterSimulator
+    from repro.workload.communities import community_workload
+
+    jobs = community_workload("computer-science", 300, 64, random_state=7)
+    result = ClusterSimulator(64, policy="backfill").run(jobs)
+    return {
+        "makespan": repr(result.criteria.makespan),
+        "trace": [(repr(e.time), e.kind, e.job, e.processors) for e in result.trace],
+    }
+
+
+def run_ciment_case() -> Dict[str, Any]:
+    """The CIMENT grid at 12 jobs per community: fills, kills, resubmits."""
+
+    result = _ciment_run(12)
+    return {
+        "horizon": repr(result.horizon),
+        "kills": result.kills,
+        "launches": result.launches,
+        "runs_completed": sorted(result.runs_completed.items()),
+        "trace": [
+            (repr(e.time), e.kind, e.job, e.cluster, e.processors, e.info)
+            for e in result.trace
+        ],
+    }
+
+
+def run_dlt_multiround_case() -> Dict[str, Any]:
+    """Multi-round divisible load over 32 workers, best of up to 12 rounds."""
+
+    from repro.core.dlt.multiround import optimize_round_count
+    from repro.core.dlt.platform import DLTPlatform, DLTWorker
+
+    workers = [
+        DLTWorker(
+            name=f"w{i:03d}",
+            compute_time=1.0 + 0.07 * (i % 5),
+            comm_time=0.01 + 0.003 * (i % 7),
+            latency=0.05 * (i % 3),
+        )
+        for i in range(32)
+    ]
+    best = optimize_round_count(500.0, DLTPlatform(workers), max_rounds=12)
+    return {
+        "rounds": best.rounds,
+        "makespan": repr(best.makespan),
+        "round_loads": [repr(v) for v in best.round_loads],
+        "idle_time": repr(best.idle_time),
+    }
+
+
 SIMULATOR_CASES = {
     "cluster": run_cluster_case,
     "grid-centralized": run_centralized_case,
     "grid-decentralized": run_decentralized_case,
+    "kernel.churn": run_kernel_churn_case,
+    "cluster.figure2": run_figure2_case,
+    "cluster.online": run_cluster_online_case,
+    "grid.ciment": run_ciment_case,
+    "dlt.multiround": run_dlt_multiround_case,
 }
 
 

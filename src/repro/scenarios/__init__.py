@@ -6,8 +6,8 @@ this package turns scenario diversity into *data*.  A scenario is a
 process + platform + policy + metrics + seed + sweep axes -- registered
 under a unique name and materialized by the composer into the existing
 parallel experiment harness, so every scenario is sweepable, cacheable
-(``REPRO_CACHE_DIR``), parallelizable (``REPRO_JOBS``) and benchmarkable
-(:mod:`repro.scenarios.bench`) with zero bespoke code.
+(``REPRO_CACHE_DIR``) and parallelizable (``REPRO_JOBS``) with zero bespoke
+code, and the benchmark (``perfbench/``) times the registered sweeps as-is.
 
 Quick tour::
 

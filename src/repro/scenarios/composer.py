@@ -700,8 +700,6 @@ def run_scenario(
     cache: Any = None,
     sink: Any = None,
     listener: Any = None,
-    progress: Optional[Callable[[str], None]] = None,
-    on_row: Optional[Callable[[Dict[str, Any]], None]] = None,
     capture_errors: bool = False,
 ) -> ExperimentResult:
     """Run a scenario's sweep through the experiment harness.
@@ -713,13 +711,9 @@ def run_scenario(
     hand-wired :func:`run_experiment` call would produce.  ``sink`` is an
     optional :class:`~repro.store.api.RowSink` (or campaign-store directory)
     every completed cell streams into, whatever the executor.  ``listener``
-    is an optional :class:`~repro.telemetry.listener.SweepListener`;
-    ``progress=`` / ``on_row=`` are deprecated shims around it.
+    is an optional :class:`~repro.telemetry.listener.SweepListener`.
     """
 
-    from repro.telemetry import listener_with_callbacks
-
-    listener = listener_with_callbacks(listener, progress, on_row)
     effective = spec.smoke_spec() if smoke else spec
     if overrides:
         effective = effective.with_overrides(overrides)

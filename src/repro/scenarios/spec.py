@@ -21,6 +21,8 @@ and validated without importing any simulation code.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Tuple
@@ -114,17 +116,20 @@ class ScenarioSpec:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> "ScenarioSpec":
-        if not _NAME_RE.match(self.name or ""):
+        if not isinstance(self.name, str):
+            raise SpecError(f"scenario name must be a string, got {type(self.name).__name__}")
+        if not _NAME_RE.match(self.name):
             raise SpecError(
                 f"invalid scenario name {self.name!r}: use lowercase letters, "
                 "digits, '.', '_' and '-', starting with a letter or digit"
             )
         if self.model not in MODELS:
             raise SpecError(f"unknown model {self.model!r}; known: {MODELS}")
-        if self.repetitions < 1:
+        if not isinstance(self.description, str):
+            raise SpecError("description must be a string")
+        if _integer(self.repetitions, "repetitions") < 1:
             raise SpecError("repetitions must be >= 1")
-        if not isinstance(self.seed, int):
-            raise SpecError("seed must be an integer")
+        _integer(self.seed, "seed")
         for axis, values in self.sweep.items():
             _check_override_path(axis, context="sweep axis")
             if not isinstance(values, (list, tuple)) or len(values) == 0:
@@ -133,6 +138,9 @@ class ScenarioSpec:
             if key in ("repetitions", "sweep"):
                 continue
             _check_override_path(key, context="smoke override")
+        if "repetitions" in self.smoke:
+            if _integer(self.smoke["repetitions"], "smoke repetitions") < 1:
+                raise SpecError("smoke repetitions must be >= 1")
         if "sweep" in self.smoke:
             smoke_sweep = self.smoke["sweep"]
             if not isinstance(smoke_sweep, Mapping):
@@ -144,6 +152,9 @@ class ScenarioSpec:
         for metric in self.metrics:
             if not isinstance(metric, str) or not metric:
                 raise SpecError("metrics must be non-empty strings")
+        for tag in self.tags:
+            if not isinstance(tag, str):
+                raise SpecError("tags must be strings")
         return self
 
     # -- derivation ---------------------------------------------------------
@@ -205,6 +216,13 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
+        try:
+            return cls._from_dict(data)
+        except RecursionError:
+            raise SpecError("spec is nested too deeply") from None
+
+    @classmethod
+    def _from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
         if not isinstance(data, Mapping):
             raise SpecError(f"spec must be a mapping, got {type(data).__name__}")
         known = {
@@ -223,19 +241,22 @@ class ScenarioSpec:
         smoke_raw = data.get("smoke", {})
         if not isinstance(smoke_raw, Mapping):
             raise SpecError("'smoke' must be a mapping")
+        for key in ("tags", "metrics"):
+            if not isinstance(data.get(key, ()), (list, tuple)):
+                raise SpecError(f"{key!r} must be a list of strings")
         spec = cls(
             name=data["name"],
             model=data["model"],
             description=data.get("description", ""),
             tags=tuple(data.get("tags", ())),
             metrics=tuple(data.get("metrics", ())),
-            repetitions=int(data.get("repetitions", 3)),
-            seed=int(data.get("seed", 1234)),
+            repetitions=_integer(data.get("repetitions", 3), "repetitions"),
+            seed=_integer(data.get("seed", 1234), "seed"),
             workload=ComponentSpec.from_dict(data["workload"], section="workload"),
             arrival=ComponentSpec.from_dict(data.get("arrival", {"kind": "inherit"}), section="arrival"),
             platform=ComponentSpec.from_dict(data["platform"], section="platform"),
             policy=ComponentSpec.from_dict(data.get("policy", {"kind": "default"}), section="policy"),
-            sweep={axis: _plain(list(values)) for axis, values in sweep_raw.items()},
+            sweep={axis: _plain(values) for axis, values in sweep_raw.items()},
             smoke=_plain(dict(smoke_raw)),
         )
         return spec.validate()
@@ -271,9 +292,28 @@ class ScenarioSpec:
 
         try:
             data = tomllib.loads(text)
-        except tomllib.TOMLDecodeError as error:
+        except ValueError as error:  # TOMLDecodeError, or an over-long integer
             raise SpecError(f"invalid scenario TOML: {error}") from None
+        except RecursionError:
+            raise SpecError("invalid scenario TOML: nested too deeply") from None
         return cls.from_dict(data)
+
+
+def _integer(value: Any, key: str) -> int:
+    """``value`` as an int, or a :class:`SpecError` naming ``key``.
+
+    Integral floats (``3.0``) are accepted; booleans, strings, non-finite and
+    fractional numbers are not -- a silently truncated ``2.7`` repetitions
+    would run a different experiment than the one written down.
+    """
+
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise SpecError(f"{key!r} must be an integer, got {type(value).__name__}")
+    if not isinstance(value, numbers.Integral) and not (
+        math.isfinite(value) and float(value).is_integer()
+    ):
+        raise SpecError(f"{key!r} must be a finite integer, got {value!r}")
+    return int(value)
 
 
 def _copy_spec(spec: ScenarioSpec) -> ScenarioSpec:

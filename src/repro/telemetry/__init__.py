@@ -45,12 +45,7 @@ from repro.telemetry.events import (
     payload,
     worker_topic,
 )
-from repro.telemetry.listener import (
-    CallbackListener,
-    FanoutListener,
-    SweepListener,
-    listener_with_callbacks,
-)
+from repro.telemetry.listener import FanoutListener, SweepListener
 from repro.telemetry.recorder import TelemetryRecorder, telemetry_scenario
 from repro.telemetry.spans import NULL_SPAN, SpanRecorder
 
@@ -82,7 +77,6 @@ def trace_tap(bus: Optional[TelemetryBus] = None, *, label: str = ""):
 
 __all__ = [
     "ALL_TOPICS",
-    "CallbackListener",
     "FanoutListener",
     "NULL_SPAN",
     "SCHEMA_VERSION",
@@ -104,7 +98,6 @@ __all__ = [
     "TOPIC_WORKERS",
     "WORKER_TOPIC_PREFIX",
     "get_bus",
-    "listener_with_callbacks",
     "payload",
     "set_bus",
     "telemetry_scenario",

@@ -1,9 +1,9 @@
 """The :class:`SweepListener` protocol: how sweeps report cell lifecycle.
 
-This replaces the historical ad-hoc ``progress=`` / ``on_row=`` callbacks on
-:func:`repro.experiments.harness.run_experiment` and
-:func:`repro.scenarios.composer.run_scenario`.  A listener receives typed
-lifecycle notifications; the default telemetry bus
+A listener passed as ``listener=`` to
+:func:`repro.experiments.harness.run_experiment` or
+:func:`repro.scenarios.composer.run_scenario` receives typed lifecycle
+notifications; the default telemetry bus
 (:class:`repro.telemetry.bus.TelemetryBus`) is itself a listener, so every
 sweep is observable from the dashboard without any caller plumbing.
 
@@ -14,8 +14,7 @@ of the sweep must be byte-identical whether zero or many listeners watch.
 
 from __future__ import annotations
 
-import warnings
-from typing import Any, Callable, Dict, Iterable, Optional
+from typing import Any, Dict, Iterable
 
 
 class SweepListener:
@@ -43,33 +42,6 @@ class SweepListener:
 
     def on_sweep_end(self, experiment: str, result: Any) -> None:
         """The sweep finished (also on error paths, with the partial result)."""
-
-
-class CallbackListener(SweepListener):
-    """Adapter wrapping the legacy ``progress=`` / ``on_row=`` callbacks.
-
-    Emits byte-identical messages to the historical inline calls so scripts
-    parsing harness stderr keep working through the deprecation window.
-    """
-
-    def __init__(
-        self,
-        progress: Optional[Callable[[str], None]] = None,
-        on_row: Optional[Callable[[Dict[str, Any]], None]] = None,
-    ) -> None:
-        self._progress = progress
-        self._on_row = on_row
-
-    def on_row(self, experiment: str, cell: Any, row: Dict[str, Any], outcome: Any) -> None:
-        if self._on_row is not None:
-            self._on_row(row)
-        if self._progress is not None:
-            suffix = " [cached]" if outcome.cached else f" [{outcome.elapsed_seconds:.3f}s]"
-            self._progress(f"{experiment}: {cell.describe()}{suffix}")
-
-    def on_error(self, experiment: str, cell: Any, outcome: Any) -> None:
-        if self._progress is not None:
-            self._progress(f"{experiment}: {cell.describe()} FAILED ({outcome.error_type})")
 
 
 class FanoutListener(SweepListener):
@@ -101,31 +73,3 @@ class FanoutListener(SweepListener):
     def on_sweep_end(self, experiment: str, result: Any) -> None:
         for listener in self.listeners:
             listener.on_sweep_end(experiment, result)
-
-
-def listener_with_callbacks(
-    listener: Optional[SweepListener],
-    progress: Optional[Callable[[str], None]],
-    on_row: Optional[Callable[[Dict[str, Any]], None]],
-    *,
-    stacklevel: int = 3,
-) -> Optional[SweepListener]:
-    """Compose ``listener=`` with the deprecated ``progress=``/``on_row=``.
-
-    Returns ``listener`` untouched when no legacy callback is given;
-    otherwise warns once and folds the callbacks into the listener chain.
-    """
-
-    if progress is None and on_row is None:
-        return listener
-    warnings.warn(
-        "progress= and on_row= are deprecated; pass "
-        "listener=repro.telemetry.listener.CallbackListener(progress=..., "
-        "on_row=...) or any SweepListener instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    legacy = CallbackListener(progress=progress, on_row=on_row)
-    if listener is None:
-        return legacy
-    return FanoutListener([listener, legacy])

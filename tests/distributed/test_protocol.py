@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import socket
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distributed import protocol
 from repro.experiments.grid import Cell, CellOutcome
@@ -22,74 +25,74 @@ def socket_pair():
 
 
 class TestFraming:
-    def test_message_round_trip(self):
+    def test_message_round_trip(self, wire):
         left, right = socket_pair()
         try:
-            protocol.send_message(left, {"op": "hello", "worker": "w1"})
-            assert protocol.recv_message(right) == {"op": "hello", "worker": "w1"}
+            wire.send(left, {"op": "hello", "worker": "w1"})
+            assert wire.recv(right) == {"op": "hello", "worker": "w1"}
         finally:
             left.close()
             right.close()
 
-    def test_back_to_back_frames_do_not_bleed(self):
+    def test_back_to_back_frames_do_not_bleed(self, wire):
         left, right = socket_pair()
         try:
             for index in range(20):
-                protocol.send_message(left, {"op": "n", "i": index, "pad": "x" * index * 37})
+                wire.send(left, {"op": "n", "i": index, "pad": "x" * index * 37})
             for index in range(20):
-                assert protocol.recv_message(right)["i"] == index
+                assert wire.recv(right)["i"] == index
         finally:
             left.close()
             right.close()
 
-    def test_large_frame_survives_partial_recv(self):
+    def test_large_frame_survives_partial_recv(self, wire):
         left, right = socket_pair()
         try:
             message = {"op": "blob", "data": "y" * 2_000_000}
-            thread = threading.Thread(target=protocol.send_message, args=(left, message))
+            thread = threading.Thread(target=wire.send, args=(left, message))
             thread.start()
-            received = protocol.recv_message(right)
+            received = wire.recv(right)
             thread.join()
             assert received == message
         finally:
             left.close()
             right.close()
 
-    def test_eof_raises_connection_closed(self):
+    def test_eof_raises_connection_closed(self, wire):
         left, right = socket_pair()
         left.close()
         try:
             with pytest.raises(protocol.ConnectionClosed):
-                protocol.recv_message(right)
+                wire.recv(right)
         finally:
             right.close()
 
-    def test_mid_frame_eof_raises_connection_closed(self):
+    def test_mid_frame_eof_raises_connection_closed(self, wire):
         left, right = socket_pair()
         try:
             left.sendall(b"\x00\x00\x01\x00partial")
             left.close()
             with pytest.raises(protocol.ConnectionClosed):
-                protocol.recv_message(right)
+                wire.recv(right)
         finally:
             right.close()
 
-    def test_oversized_header_is_treated_as_corruption(self):
+    def test_oversized_header_is_treated_as_corruption(self, wire):
         left, right = socket_pair()
         try:
             left.sendall(b"\xff\xff\xff\xff")
             with pytest.raises(protocol.ProtocolError):
-                protocol.recv_message(right)
+                wire.recv(right)
         finally:
             left.close()
             right.close()
 
-    def test_non_envelope_frame_rejected(self):
+    def test_non_envelope_frame_rejected(self, wire):
         left, right = socket_pair()
         try:
-            protocol.send_message(left, {"no_op_key": 1})
+            wire.send(left, {"no_op_key": 1})
             with pytest.raises(protocol.ProtocolError):
-                protocol.recv_message(right)
+                wire.recv(right)
         finally:
             left.close()
             right.close()
@@ -107,6 +110,35 @@ class TestPayloads:
     def test_corrupt_payload_raises_protocol_error(self):
         with pytest.raises(protocol.ProtocolError):
             protocol.decode_payload("definitely!not!base64!pickle")
+
+
+class TestHostileFrames:
+    """Any frame body decodes to an op envelope or raises ProtocolError."""
+
+    @pytest.mark.parametrize("blob", [b"[" * 100000, b'{"op": ' * 100000],
+                             ids=["deep-array", "deep-object"])
+    def test_hostile_body_is_a_protocol_error(self, blob):
+        with pytest.raises(protocol.ProtocolError):
+            protocol.load_frame(blob)
+
+    @settings(max_examples=200, deadline=None)
+    @given(blob=st.one_of(
+        st.binary(max_size=64),
+        st.tuples(st.sampled_from([b"[", b'{"op": ', b'{"a": [']), st.integers(0, 100000))
+        .map(lambda opener: opener[0] * opener[1]),
+        st.recursive(
+            st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4)),
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+                st.sampled_from(["op", "a"]), inner, max_size=2),
+            max_leaves=6,
+        ).map(lambda value: json.dumps(value).encode()),
+    ))
+    def test_arbitrary_bytes_give_an_envelope_or_protocol_error(self, blob):
+        try:
+            message = protocol.load_frame(blob)
+        except protocol.ProtocolError:
+            return
+        assert isinstance(message, dict) and "op" in message
 
 
 class TestAddresses:

@@ -28,20 +28,21 @@ def plain_cell(seed, x):
 class FakeWorker:
     """A hand-driven protocol client (no heartbeat thread, no execution)."""
 
-    def __init__(self, address, worker_id):
+    def __init__(self, wire, address, worker_id):
+        self.wire = wire
         host, port = protocol.parse_address(address)
         self.sock = socket.create_connection((host, port), timeout=5.0)
         self.worker_id = worker_id
-        protocol.send_message(self.sock, {"op": "hello", "worker": worker_id})
-        assert protocol.recv_message(self.sock)["op"] == "welcome"
+        self.wire.send(self.sock, {"op": "hello", "worker": worker_id})
+        assert self.wire.recv(self.sock)["op"] == "welcome"
 
     def take_cell(self, timeout=10.0):
         """Request until a task arrives; returns the task message."""
 
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
-            protocol.send_message(self.sock, {"op": "request"})
-            reply = protocol.recv_message(self.sock)
+            self.wire.send(self.sock, {"op": "request"})
+            reply = self.wire.recv(self.sock)
             if reply["op"] == "task":
                 return reply
             time.sleep(0.02)
@@ -50,7 +51,7 @@ class FakeWorker:
     def finish(self, task):
         cell = protocol.decode_payload(task["cell"])
         outcome = CellFunction(plain_cell)(cell)
-        protocol.send_message(self.sock, {
+        self.wire.send(self.sock, {
             "op": "result",
             "worker": self.worker_id,
             "campaign": task["campaign"],
@@ -73,7 +74,7 @@ def collect_campaign(scheduler, cells, results, errors):
 
 
 class TestHeartbeatEviction:
-    def test_silent_worker_is_evicted_and_its_cell_requeued(self):
+    def test_silent_worker_is_evicted_and_its_cell_requeued(self, wire):
         cells = expand_grid({"x": list(range(8))}, repetitions=1)
         scheduler = Scheduler(
             heartbeat_interval=0.1, heartbeat_timeout=0.6, max_retries=3
@@ -87,13 +88,13 @@ class TestHeartbeatEviction:
         honest = None
         try:
             # The silent worker grabs a cell first, then goes quiet.
-            silent = FakeWorker(scheduler.address, "silent")
+            silent = FakeWorker(wire, scheduler.address, "silent")
             task = silent.take_cell()
             held = protocol.decode_payload(task["cell"])
 
             # An honest worker drains everything else, then idles until the
             # eviction releases the held cell.
-            honest = FakeWorker(scheduler.address, "honest")
+            honest = FakeWorker(wire, scheduler.address, "honest")
             done = 0
             while done < len(cells) - 1:
                 honest.finish(honest.take_cell())
@@ -122,7 +123,7 @@ class TestHeartbeatEviction:
             scheduler.close()
             consumer.join(timeout=5.0)
 
-    def test_retry_budget_exhaustion_yields_worker_lost_outcome(self):
+    def test_retry_budget_exhaustion_yields_worker_lost_outcome(self, wire):
         cells = expand_grid({}, repetitions=1)  # a single cell
         scheduler = Scheduler(
             heartbeat_interval=0.1, heartbeat_timeout=5.0, max_retries=1
@@ -134,7 +135,7 @@ class TestHeartbeatEviction:
         consumer.start()
         try:
             for attempt in range(2):  # initial assignment + one retry
-                crashy = FakeWorker(scheduler.address, f"crashy-{attempt}")
+                crashy = FakeWorker(wire, scheduler.address, f"crashy-{attempt}")
                 crashy.take_cell()
                 crashy.close()  # die mid-cell: connection drop, no result
             consumer.join(timeout=10.0)
@@ -151,7 +152,7 @@ class TestHeartbeatEviction:
 
 
 class TestDuplicateAndLateResults:
-    def test_duplicate_result_for_a_done_cell_is_ignored(self):
+    def test_duplicate_result_for_a_done_cell_is_ignored(self, wire):
         cells = expand_grid({"x": [1]}, repetitions=1)
         scheduler = Scheduler(heartbeat_interval=0.1, heartbeat_timeout=5.0).start()
         results, errors = [], []
@@ -161,7 +162,7 @@ class TestDuplicateAndLateResults:
         consumer.start()
         worker = None
         try:
-            worker = FakeWorker(scheduler.address, "dup")
+            worker = FakeWorker(wire, scheduler.address, "dup")
             task = worker.take_cell()
             worker.finish(task)
             worker.finish(task)  # replayed frame: must not corrupt anything
@@ -192,7 +193,7 @@ class TestStallGuard:
         with pytest.raises(CampaignStalled):
             list(executor.map(CellFunction(plain_cell), cells))
 
-    def test_concurrent_campaigns_on_one_scheduler_are_rejected(self):
+    def test_concurrent_campaigns_on_one_scheduler_are_rejected(self, wire):
         scheduler = Scheduler(heartbeat_interval=0.1, heartbeat_timeout=5.0).start()
         cells = expand_grid({"x": [1]}, repetitions=1)
         results, errors = [], []
@@ -205,7 +206,7 @@ class TestStallGuard:
             time.sleep(0.2)  # let the first campaign register itself
             with pytest.raises(RuntimeError):
                 next(iter(scheduler.run_campaign(CellFunction(plain_cell), cells)))
-            worker = FakeWorker(scheduler.address, "finisher")
+            worker = FakeWorker(wire, scheduler.address, "finisher")
             worker.finish(worker.take_cell())
             consumer.join(timeout=10.0)
             assert not consumer.is_alive() and not errors and len(results) == 1

@@ -7,16 +7,31 @@ including adversarial parameter values -- unicode, floats, negative seeds,
 tuples, and unhashable values that defeat the params memo.
 """
 
+import hashlib
+import json
+
 import pytest
 
-from repro.experiments.grid import (
-    Cell,
-    CellKeyer,
-    _cell_key_uncached,
-    cell_key,
-    expand_grid,
-    keyer_for,
-)
+from repro.experiments.grid import Cell, CellKeyer, cell_key, expand_grid, keyer_for
+
+
+def _cell_key_uncached(experiment, cell, version=""):
+    """Reference implementation of ``cell_key`` (no precomputation).
+
+    Kept verbatim as the ground truth the keyer must match byte for byte,
+    because these hashes key on-disk caches, campaign journals and store
+    partitions.
+    """
+
+    payload = {
+        "experiment": experiment,
+        "params": [[k, repr(v)] for k, v in cell.params],
+        "seed": cell.seed,
+        "repetition": cell.repetition,
+        "version": version,
+    }
+    blob = json.dumps(payload, sort_keys=True, default=repr)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 TRICKY_PARAMS = [
     (),
@@ -40,7 +55,6 @@ def test_keyer_blob_and_key_match_reference(experiment, version, params):
     keyer = CellKeyer(experiment, version)
     for repetition, seed in [(0, 1234), (3, -7), (10**6, 2**63 - 1)]:
         cell = Cell(index=0, repetition=repetition, seed=seed, params=params)
-        import hashlib
         blob = keyer.blob(cell)
         assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == _cell_key_uncached(
             experiment, cell, version

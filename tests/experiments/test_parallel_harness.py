@@ -28,6 +28,7 @@ from repro.experiments.harness import (
     run_experiment,
     run_fingerprint,
 )
+from repro.telemetry import SweepListener
 
 GRID_4x4 = {"a": [1, 2, 3, 4], "b": [10, 20, 30, 40]}  # x4 reps = 64 cells
 
@@ -228,18 +229,22 @@ class TestParallelIdentity:
         assert probe.worker_cells.value == 64
         assert probe.in_flight.value == 0
 
-    def test_progress_and_timing_capture(self):
-        # progress=/on_row= are deprecated shims around listener=; they
-        # must still deliver the exact legacy callbacks while they warn.
-        messages = []
-        streamed = []
-        with pytest.warns(DeprecationWarning, match="progress= and on_row="):
-            result = run_experiment("progress", seeded_metrics,
-                                    {"a": [1], "b": [2, 3]},
-                                    repetitions=2, progress=messages.append,
-                                    on_row=streamed.append)
-        assert len(messages) == 4
-        assert streamed == result.rows
+    def test_listener_receives_every_row_in_order_under_a_pool(self):
+        class Rows(SweepListener):
+            def __init__(self):
+                self.rows = []
+                self.cells = []
+
+            def on_row(self, experiment, cell, row, outcome):
+                self.rows.append(row)
+                self.cells.append(cell.index)
+
+        listener = Rows()
+        result = run_experiment("listened", seeded_metrics,
+                                {"a": [1], "b": [2, 3]}, repetitions=2,
+                                executor=ProcessPoolExecutor(2), listener=listener)
+        assert listener.rows == result.rows
+        assert listener.cells == [0, 1, 2, 3]
         assert len(result.cell_seconds) == 4
         assert all(elapsed >= 0.0 for elapsed in result.cell_seconds)
         # Summaries were folded while the rows streamed (no second pass).

@@ -1,16 +1,11 @@
-"""SweepListener protocol: lifecycle delivery, legacy-callback shims."""
+"""SweepListener protocol: lifecycle delivery and fan-out."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.experiments.harness import run_experiment
-from repro.telemetry import (
-    CallbackListener,
-    FanoutListener,
-    SweepListener,
-    listener_with_callbacks,
-)
+from repro.telemetry import FanoutListener, SweepListener
 
 
 def seeded_value(seed: int, k: int) -> dict:
@@ -61,66 +56,21 @@ class TestListenerLifecycle:
                            repetitions=1, executor="serial", listener=recorder)
         assert recorder.calls[-1][0] == "sweep-end"
 
-
-class TestCallbackListener:
-    def test_progress_message_matches_legacy_format(self):
-        class Cell:
-            def describe(self) -> str:
-                return "seed=9 k=1"
-
-        class Outcome:
-            cached = False
-            elapsed_seconds = 0.1234567
-
-        messages = []
-        listener = CallbackListener(progress=messages.append)
-        listener.on_row("exp", Cell(), {}, Outcome())
-        assert messages == ["exp: seed=9 k=1 [0.123s]"]
-
-        Outcome.cached = True
-        listener.on_row("exp", Cell(), {}, Outcome())
-        assert messages[-1] == "exp: seed=9 k=1 [cached]"
-
-    def test_error_message_matches_legacy_format(self):
-        class Cell:
-            def describe(self) -> str:
-                return "seed=9"
-
-        class Outcome:
-            error_type = "ValueError"
-
-        messages = []
-        CallbackListener(progress=messages.append).on_error("exp", Cell(), Outcome())
-        assert messages == ["exp: seed=9 FAILED (ValueError)"]
-
-
-class TestDeprecationShims:
-    def test_no_callbacks_returns_listener_unchanged_without_warning(self):
-        import warnings
-
-        listener = SweepListener()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert listener_with_callbacks(listener, None, None) is listener
-            assert listener_with_callbacks(None, None, None) is None
-
-    def test_callbacks_warn_and_compose_with_listener(self):
-        rows = []
-        listener = Recorder()
-        with pytest.warns(DeprecationWarning, match="progress= and on_row="):
-            composed = listener_with_callbacks(listener, None, rows.append)
-        assert isinstance(composed, FanoutListener)
-        assert composed.listeners[0] is listener
-
-    def test_run_scenario_legacy_kwargs_warn_but_still_deliver(self):
+    def test_run_scenario_forwards_listener(self):
         from repro.scenarios import registry
         from repro.scenarios.composer import run_scenario
 
-        spec = registry.get("cluster.policy-panel")
-        rows = []
-        with pytest.warns(DeprecationWarning, match="progress= and on_row="):
-            result = run_scenario(spec, smoke=True, on_row=rows.append)
-        assert rows == result.rows
+        class Rows(SweepListener):
+            def __init__(self):
+                self.rows = []
+
+            def on_row(self, experiment, cell, row, outcome):
+                self.rows.append(row)
+
+        listener = Rows()
+        result = run_scenario(registry.get("cluster.policy-panel"), smoke=True,
+                              listener=listener)
+        assert listener.rows == result.rows
 
 
 class TestFanout:
