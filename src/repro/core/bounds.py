@@ -72,18 +72,102 @@ def min_work(job: Job) -> float:
     return _min_work(job)
 
 
+def _columns(jobs: Sequence[Job]) -> Tuple[List[float], List[float], List[float]]:
+    """Per-job ``p_j^min``, ``W_j^min`` and ``r_j + p_j^min``, in input order.
+
+    Every bound below reads these three columns, so an instance pays one
+    type dispatch per job however many bounds it asks for.
+    """
+
+    runtime = [_min_runtime(j) for j in jobs]
+    work = [_min_work(j) for j in jobs]
+    ready = [j.release_date + p for j, p in zip(jobs, runtime)]
+    return runtime, work, ready
+
+
+def _check_machine_count(machine_count: int) -> None:
+    if machine_count < 1:
+        raise ValueError("machine_count must be >= 1")
+
+
+def _makespan_bound(
+    runtime: List[float], work: List[float], ready: List[float], machine_count: int
+) -> float:
+    if not runtime:
+        return 0.0
+    return max(max(runtime), sum(work) / machine_count, max(ready))
+
+
+def _wspt_completion_bounds(
+    jobs: Sequence[Job], work: List[float], ready: List[float], machine_count: int
+) -> List[Tuple[int, float]]:
+    """``(job index, completion bound)`` pairs in WSPT order."""
+
+    order = sorted(
+        range(len(jobs)),
+        key=lambda i: (work[i] / max(jobs[i].weight, 1e-12), jobs[i].name),
+    )
+    bounds: List[Tuple[int, float]] = []
+    elapsed = 0.0
+    for i in order:
+        elapsed += work[i] / machine_count
+        bounds.append((i, max(elapsed, ready[i])))
+    return bounds
+
+
+def _weighted_completion_bound(
+    jobs: Sequence[Job], work: List[float], ready: List[float], machine_count: int
+) -> float:
+    return sum(
+        jobs[i].weight * c
+        for i, c in _wspt_completion_bounds(jobs, work, ready, machine_count)
+    )
+
+
+def _sum_completion_bound(
+    jobs: Sequence[Job], work: List[float], ready: List[float], machine_count: int
+) -> float:
+    order = sorted(range(len(jobs)), key=lambda i: (work[i], jobs[i].name))
+    total = 0.0
+    elapsed = 0.0
+    for i in order:
+        elapsed += work[i] / machine_count
+        total += max(elapsed, ready[i])
+    return total
+
+
+def _stretch_bound(runtime: List[float]) -> float:
+    if not runtime:
+        return 0.0
+    return sum(runtime) / len(runtime)
+
+
+def instance_lower_bounds(
+    jobs: Iterable[Job], machine_count: int
+) -> Tuple[float, float, float, float]:
+    """The makespan, ``sum w_j C_j``, ``sum C_j`` and mean-stretch bounds at once.
+
+    Each value equals the one of the dedicated function below; the per-job
+    columns are computed once for all four.
+    """
+
+    _check_machine_count(machine_count)
+    jobs = list(jobs)
+    runtime, work, ready = _columns(jobs)
+    return (
+        _makespan_bound(runtime, work, ready, machine_count),
+        _weighted_completion_bound(jobs, work, ready, machine_count),
+        _sum_completion_bound(jobs, work, ready, machine_count),
+        _stretch_bound(runtime),
+    )
+
+
 def makespan_lower_bound(jobs: Iterable[Job], machine_count: int) -> float:
     """Lower bound on ``Cmax`` for any schedule of ``jobs`` on ``machine_count`` processors."""
 
-    if machine_count < 1:
-        raise ValueError("machine_count must be >= 1")
-    jobs = list(jobs)
-    if not jobs:
-        return 0.0
-    critical = max(_min_runtime(j) for j in jobs)
-    area = sum(_min_work(j) for j in jobs) / machine_count
-    release = max(j.release_date + _min_runtime(j) for j in jobs)
-    return max(critical, area, release)
+    _check_machine_count(machine_count)
+    runtime, work, ready = _columns(list(jobs))
+    return _makespan_bound(runtime, work, ready, machine_count)
 
 
 def completion_time_lower_bounds(
@@ -101,48 +185,34 @@ def completion_time_lower_bounds(
     present (the release-date term keeps it safe for the dominant jobs).
     """
 
-    if machine_count < 1:
-        raise ValueError("machine_count must be >= 1")
+    _check_machine_count(machine_count)
     jobs = list(jobs)
-    order = sorted(
-        jobs,
-        key=lambda j: (_min_work(j) / max(j.weight, 1e-12), j.name),
-    )
-    bounds: List[Tuple[Job, float]] = []
-    elapsed = 0.0
-    for job in order:
-        elapsed += _min_work(job) / machine_count
-        bound = max(elapsed, job.release_date + _min_runtime(job))
-        bounds.append((job, bound))
-    return bounds
+    _, work, ready = _columns(jobs)
+    return [(jobs[i], c) for i, c in _wspt_completion_bounds(jobs, work, ready, machine_count)]
 
 
 def weighted_completion_lower_bound(jobs: Iterable[Job], machine_count: int) -> float:
     """Lower bound on ``sum_j w_j C_j``."""
 
-    return sum(job.weight * c for job, c in completion_time_lower_bounds(jobs, machine_count))
+    _check_machine_count(machine_count)
+    jobs = list(jobs)
+    _, work, ready = _columns(jobs)
+    return _weighted_completion_bound(jobs, work, ready, machine_count)
 
 
 def sum_completion_lower_bound(jobs: Iterable[Job], machine_count: int) -> float:
     """Lower bound on ``sum_j C_j`` (unweighted)."""
 
     jobs = list(jobs)
-    order = sorted(jobs, key=lambda j: (_min_work(j), j.name))
-    total = 0.0
-    elapsed = 0.0
-    for job in order:
-        elapsed += _min_work(job) / machine_count
-        total += max(elapsed, job.release_date + _min_runtime(job))
-    return total
+    _, work, ready = _columns(jobs)
+    return _sum_completion_bound(jobs, work, ready, machine_count)
 
 
 def stretch_lower_bound(jobs: Iterable[Job]) -> float:
     """Trivial lower bound on the mean stretch: each job needs at least ``p_j^min``."""
 
-    jobs = list(jobs)
-    if not jobs:
-        return 0.0
-    return sum(_min_runtime(j) for j in jobs) / len(jobs)
+    runtime, _, _ = _columns(list(jobs))
+    return _stretch_bound(runtime)
 
 
 def divisible_makespan_lower_bound(

@@ -25,10 +25,9 @@ used by several policies.
 from __future__ import annotations
 
 import abc
+import bisect
 import math
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.allocation import Schedule
 from repro.core.job import Job, MoldableJob, RigidJob
@@ -175,12 +174,17 @@ def list_schedule_rigid(
 
     if machine_count < 1:
         raise ValueError("machine_count must be >= 1")
-    # The free-list lives in a float64 array: picking the nbproc earliest
-    # processors is one stable argsort (ties broken by index, exactly like
-    # the former sort of (time, index) pairs) instead of a python keyed
-    # sort per job.  The times themselves stay bit-identical -- the array
-    # only stores and compares the same float64 values.
-    free_at = np.full(machine_count, float(start_time))
+    # Grouped free list: the distinct availability times in ascending order
+    # (``times``) and, for each, the processors free from then on in
+    # ascending index order (``free``).  The nbproc earliest processors are
+    # whole groups from the front plus a prefix of the last group touched:
+    # exactly the (time, index) order of a stable sort of every processor's
+    # availability time, and the processor tuple keeps that order.  Only
+    # the touched groups are visited, and the released processors join one
+    # group, found by bisection.
+    first = float(start_time)
+    times: List[float] = [first]
+    free: Dict[float, List[int]] = {first: list(range(machine_count))}
     schedule = Schedule(machine_count)
     for job, nbproc in allocations:
         if nbproc < 1 or nbproc > machine_count:
@@ -189,15 +193,36 @@ def list_schedule_rigid(
                 f"{machine_count} processors"
             )
         runtime = job.runtime(nbproc)
+        chosen: List[int] = []
+        emptied = 0
+        while True:
+            latest = times[emptied]
+            group = free[latest]
+            missing = nbproc - len(chosen)
+            if len(group) > missing:
+                chosen += group[:missing]
+                del group[:missing]
+                break
+            chosen += group
+            del free[latest]
+            emptied += 1
+            if len(group) == missing:
+                break
+        del times[:emptied]
         # Earliest time at which `nbproc` processors are simultaneously
-        # free: the nbproc smallest availability times.
-        order = np.argsort(free_at, kind="stable")
-        chosen_idx = order[:nbproc]
-        start = max(float(free_at[order[nbproc - 1]]), start_time)
+        # free: the nbproc-th smallest availability time.
+        start = max(latest, start_time)
         if respect_release_dates:
             start = max(start, job.release_date)
-        free_at[chosen_idx] = start + runtime
-        schedule.add(job, start, chosen_idx.tolist(), runtime)
+        end = start + runtime
+        released = free.get(end)
+        if released is None:
+            bisect.insort(times, end)
+            free[end] = sorted(chosen)
+        else:
+            released += chosen
+            released.sort()
+        schedule.add(job, start, chosen, runtime)
     return schedule
 
 

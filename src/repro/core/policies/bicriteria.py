@@ -22,11 +22,16 @@ Implementation notes
   considered in weighted-shortest-processing-time order (weight over minimal
   work) and admitted while the aggregate area fits in ``d * m`` and their
   minimal runtime fits in ``d``.
+* The WSPT keys ``(minimal work / weight, name)`` are unique and never
+  change, so the job indices are sorted once per :meth:`~BiCriteriaScheduler.schedule`
+  call; each batch is then one linear scan of the pending indices in that
+  order, which admits exactly the jobs a per-batch sort of the released
+  jobs would.
 * Release dates are supported in the natural batch fashion: a job is only
   considered once the current batch start has passed its release date
   (the on-line setting of section 4.4, "independent on-line moldable jobs").
 * Each admitted batch is scheduled with a pluggable off-line makespan policy
-  (default: the MRT algorithm of section 4.1).
+  (default: the deadline-aware procedure described on the class).
 """
 
 from __future__ import annotations
@@ -36,11 +41,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.allocation import Schedule
 from repro.core.bounds import min_runtime, min_work
-from repro.core.job import Job, validate_jobs
+from repro.core.job import Job, MoldableJob, RigidJob, validate_jobs
 from repro.core.policies.base import (
     OfflineScheduler,
     ReleaseDateScheduler,
     SchedulerError,
+    list_schedule_rigid,
 )
 
 
@@ -73,7 +79,7 @@ class BiCriteriaScheduler(ReleaseDateScheduler):
         to study other inner procedures.
     initial_deadline:
         First deadline ``d``.  When ``None`` it is derived from the instance:
-        the smallest minimal runtime of the released jobs, which makes the
+        the smallest minimal runtime of the jobs, which makes the
         first batches small and therefore favours small high-priority jobs
         (good for the weighted completion time).
     """
@@ -99,42 +105,65 @@ class BiCriteriaScheduler(ReleaseDateScheduler):
         self.last_batches = []
         if not jobs:
             return Schedule(machine_count)
-        remaining: List[Job] = sorted(jobs, key=lambda j: (j.release_date, j.name))
+        for job in jobs:
+            if isinstance(job, MoldableJob) and job.min_procs > machine_count:
+                raise SchedulerError(
+                    f"moldable job {job.name!r} needs at least {job.min_procs} "
+                    f"processors, platform only has {machine_count}"
+                )
+        release = [job.release_date for job in jobs]
+        runtimes = [min_runtime(job) for job in jobs]
+        areas = [min_work(job) for job in jobs]
+        # Pending job indices in WSPT order (the keys are unique).
+        pending = sorted(
+            range(len(jobs)),
+            key=lambda i: (areas[i] / max(jobs[i].weight, 1e-12), jobs[i].name),
+        )
         result = Schedule(machine_count)
-        now = min(j.release_date for j in remaining)
-        deadline = self._first_deadline(remaining)
-        # The per-job bounds and the WSPT selection key never change across
-        # batches; computing them once per schedule() (instead of once per
-        # job per batch) takes the selection off the sweep's hot path.
-        bounds_cache = {job: (min_runtime(job), min_work(job)) for job in remaining}
-        wspt_keys = {
-            job: (area / max(job.weight, 1e-12), job.name)
-            for job, (_, area) in bounds_cache.items()
-        }
+        now = min(release)
+        if self.initial_deadline is not None:
+            deadline = self.initial_deadline
+        else:
+            deadline = max(min(runtimes), 1e-9)
         batch_index = 0
         guard = 0
         max_batches = 4 * len(jobs) + 64  # generous; deadlines double so this is never hit
-        while remaining:
+        while pending:
             guard += 1
             if guard > max_batches:
                 raise SchedulerError("bi-criteria scheduler did not converge")
-            ready = [j for j in remaining if j.release_date <= now + 1e-12]
-            if not ready:
-                now = min(j.release_date for j in remaining)
+            # Greedy maximum-weight selection: released jobs in WSPT order,
+            # admitted while their best runtime fits in the deadline and the
+            # admitted area stays within deadline * machine_count.
+            release_limit = now + 1e-12
+            runtime_limit = deadline + 1e-12
+            budget = deadline * machine_count
+            used = 0.0
+            any_released = False
+            selected: List[int] = []
+            rest: List[int] = []
+            for i in pending:
+                if release[i] > release_limit:
+                    rest.append(i)
+                    continue
+                any_released = True
+                area = areas[i]
+                if runtimes[i] > runtime_limit or used + area > budget + 1e-9:
+                    rest.append(i)
+                    continue
+                selected.append(i)
+                used += area
+            if not any_released:
+                now = min(release[i] for i in pending)
                 continue
-            selected = self._select(
-                ready, machine_count, deadline, keys=wspt_keys, bounds=bounds_cache
-            )
             if not selected:
                 # No released job fits in the current deadline: double it and
                 # retry (the guard above bounds the number of doublings).
                 deadline *= 2.0
                 continue
-            # Jobs hash and compare by their (unique) name, so the set-based
-            # sweep removes exactly the elements list.remove() would.
-            selected_set = set(selected)
-            remaining = [j for j in remaining if j not in selected_set]
-            batch_schedule = self._schedule_batch(selected, machine_count, now, deadline)
+            pending = rest
+            batch = [jobs[i] for i in selected]
+            batch_schedule = self._schedule_batch(batch, machine_count, now, deadline)
             batch_schedule.validate(check_release_dates=False)
             # In-place union (same entries, same insertion order as the
             # previous result.merge(batch_schedule), without re-copying the
@@ -148,7 +177,7 @@ class BiCriteriaScheduler(ReleaseDateScheduler):
                 index=batch_index,
                 start=now,
                 deadline=deadline,
-                jobs=[j.name for j in selected],
+                jobs=[job.name for job in batch],
                 makespan=batch_makespan,
             )
             self.last_batches.append(record)
@@ -173,9 +202,6 @@ class BiCriteriaScheduler(ReleaseDateScheduler):
 
         if self.offline is not None:
             return self.offline.schedule(selected, machine_count, start_time=now)
-        from repro.core.job import MoldableJob, RigidJob  # local: avoid import cycle noise
-        from repro.core.policies.base import list_schedule_rigid
-
         allocations: List[Tuple[Job, int]] = []
         for job in selected:
             if isinstance(job, RigidJob):
@@ -185,7 +211,9 @@ class BiCriteriaScheduler(ReleaseDateScheduler):
                 if nbproc is None or nbproc > machine_count:
                     # Admission guarantees min_runtime(job) <= deadline, so a
                     # feasible allocation exists; cap it at the platform size
-                    # and fall back to the fastest allocation otherwise.
+                    # and fall back to the fastest allocation otherwise
+                    # (schedule() rejected min_procs > machine_count, so the
+                    # range is never empty).
                     upper = min(job.max_procs, machine_count)
                     nbproc = min(
                         range(job.min_procs, upper + 1),
@@ -196,50 +224,3 @@ class BiCriteriaScheduler(ReleaseDateScheduler):
             allocations.append((job, nbproc))
         allocations.sort(key=lambda t: (-t[0].runtime(t[1]), t[0].name))
         return list_schedule_rigid(allocations, machine_count, start_time=now)
-
-    def _first_deadline(self, jobs: Sequence[Job]) -> float:
-        if self.initial_deadline is not None:
-            return self.initial_deadline
-        smallest = min(min_runtime(j) for j in jobs)
-        return max(smallest, 1e-9)
-
-    def _select(
-        self,
-        ready: Sequence[Job],
-        machine_count: int,
-        deadline: float,
-        *,
-        keys: "Optional[dict]" = None,
-        bounds: "Optional[dict]" = None,
-    ) -> List[Job]:
-        """Greedy maximum-weight selection of jobs fitting in ``deadline``.
-
-        Jobs are taken in WSPT order (minimal work divided by weight); a job
-        is admitted while its best runtime fits in the deadline and the total
-        admitted area stays within ``deadline * machine_count``.  ``keys`` /
-        ``bounds`` optionally supply the precomputed per-job WSPT sort keys
-        and ``(min_runtime, min_work)`` pairs.
-        """
-
-        if keys is not None:
-            order = sorted(ready, key=keys.__getitem__)
-        else:
-            order = sorted(
-                ready, key=lambda j: (min_work(j) / max(j.weight, 1e-12), j.name)
-            )
-        budget = deadline * machine_count
-        used = 0.0
-        selected: List[Job] = []
-        for job in order:
-            if bounds is not None:
-                runtime, area = bounds[job]
-            else:
-                runtime = min_runtime(job)
-                area = min_work(job)
-            if runtime > deadline + 1e-12:
-                continue
-            if used + area > budget + 1e-9:
-                continue
-            selected.append(job)
-            used += area
-        return selected

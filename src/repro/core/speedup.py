@@ -190,8 +190,8 @@ def runtime_profile_array(
 ) -> "np.ndarray":
     """Vectorised :func:`make_runtime_table` returning a float64 array.
 
-    Bit-identical to the list version; this is the fast path used by the
-    workload generators, which build one table per job.
+    Bit-identical to the list version.  ``generate_moldable_jobs`` builds
+    the same rows for a whole workload at once, straight into a CSR array.
     """
 
     if sequential_time <= 0:

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.job import Job, MoldableJob, RigidJob
-from repro.core.speedup import AmdahlSpeedup, PowerLawSpeedup, runtime_profile_array
+from repro.core.speedup import AmdahlSpeedup, PowerLawSpeedup
 from repro.workload.table import JobTable
 
 RandomState = Union[int, np.random.Generator, None]
@@ -131,19 +132,21 @@ def generate_moldable_jobs(
     rng = _rng(random_state)
     cap = min(config.max_procs or machine_count, machine_count)
     runtimes = _runtimes(rng, n_jobs, config.runtime_range)
-    # Struct-of-arrays fast path: the RNG draw loop below is kept scalar --
-    # per-job draw *order* is part of the reproducibility contract -- but
-    # profiles are built as float64 arrays and collected into one JobTable,
-    # which validates the whole batch in a few vectorized passes and
-    # materializes MoldableJob objects with their bound caches pre-seeded
-    # (bit-identical to constructing each job individually).
+    # The RNG draw loop stays scalar -- per-job draw *order* is part of the
+    # reproducibility contract -- and only records each job's speedup model
+    # and profile length.  The profiles are then written straight into one
+    # CSR array (see _csr_profiles) and the JobTable validates the batch in
+    # a few vectorized passes and materializes MoldableJob objects with
+    # their bound caches pre-seeded (bit-identical to constructing each job
+    # individually from runtime_profile_array).
     names: List[str] = []
-    profiles: List[np.ndarray] = []
+    models: List[Optional[Union[AmdahlSpeedup, PowerLawSpeedup]]] = []
+    lengths = np.ones(n_jobs, dtype=np.int64)
     weights: List[float] = []
     for i in range(n_jobs):
         seq = float(runtimes[i])
         if rng.random() < config.sequential_fraction:
-            profile = np.array([seq])
+            model = None
         else:
             if rng.random() < 0.5:
                 lo, hi = config.serial_fraction_range
@@ -151,14 +154,74 @@ def generate_moldable_jobs(
             else:
                 lo, hi = config.power_alpha_range
                 model = PowerLawSpeedup(float(rng.uniform(lo, hi)))
-            max_procs = int(rng.integers(2, cap + 1)) if cap >= 2 else 1
-            profile = runtime_profile_array(seq, max_procs, model)
+            lengths[i] = int(rng.integers(2, cap + 1)) if cap >= 2 else 1
         names.append(f"{name_prefix}-{i:05d}")
-        profiles.append(profile)
+        models.append(model)
         weights.append(_weight(rng, config.weight_scheme, seq))
     if not names:
         return []
-    return JobTable.from_profiles(names, profiles, weights=weights).to_jobs()
+    data, ptr = _csr_profiles(runtimes, models, lengths)
+    return JobTable.from_csr(names, data, ptr, weights=weights).to_jobs()
+
+
+def _csr_profiles(
+    runtimes: np.ndarray,
+    models: List[Optional[Union[AmdahlSpeedup, PowerLawSpeedup]]],
+    lengths: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR runtime profiles ``(data, ptr)``, one row per job.
+
+    Row ``i`` equals ``runtime_profile_array(runtimes[i], lengths[i],
+    models[i])`` (``[runtimes[i]]`` when ``models[i]`` is ``None``) bit for
+    bit: the speedups are written into ``data`` with the same float
+    operations, then every row is divided in one pass as
+    ``seq / max(speedup, 1e-12)``.  A sequential row's speedup is 1.0, and
+    ``seq / 1.0`` is ``seq`` exactly.
+    """
+
+    ptr = np.zeros(lengths.shape[0] + 1, dtype=np.int64)
+    np.cumsum(lengths, out=ptr[1:])
+    data = np.ones(int(ptr[-1]), dtype=float)  # sequential rows keep speedup 1.0
+    procs = [float(k) for k in range(1, int(lengths.max()) + 1)]
+    amdahl: List[int] = []
+    serial: List[float] = []
+    for i, model in enumerate(models):
+        if model is None:
+            continue
+        if type(model) is AmdahlSpeedup:
+            amdahl.append(i)
+            serial.append(model.serial_fraction)
+        else:
+            # Scalar pow on purpose: float(k) ** alpha through libm, as
+            # PowerLawSpeedup computes it (np.power may round differently).
+            count = int(lengths[i])
+            data[ptr[i] : ptr[i + 1]] = np.fromiter(
+                map(pow, procs[:count], repeat(model.alpha, count)), dtype=float, count=count
+            )
+    if amdahl:
+        # One elementwise block for every Amdahl row: 1 / (f + (1 - f) / k).
+        rows = np.array(amdahl)
+        counts = lengths[rows]
+        offset = np.arange(int(counts.sum()))
+        offset -= np.repeat(np.cumsum(counts) - counts, counts)
+        f = np.repeat(np.array(serial), counts)
+        speedup = offset + 1.0
+        np.divide(1.0 - f, speedup, out=speedup)
+        speedup += f
+        np.divide(1.0, speedup, out=speedup)
+        offset += np.repeat(ptr[rows], counts)
+        data[offset] = speedup
+    np.maximum(data, 1e-12, out=data)
+    np.divide(np.repeat(runtimes, lengths), data, out=data)
+    # Monotony repair (running min), only on rows whose runtime rises
+    # somewhere: a running min leaves a non-increasing row unchanged.
+    rising = data[1:] > data[:-1]
+    rising[ptr[1:-1] - 1] = False  # pairs straddling two rows
+    if rising.any():
+        for row in np.unique(np.searchsorted(ptr, np.flatnonzero(rising), side="right") - 1):
+            segment = data[ptr[row] : ptr[row + 1]]
+            np.minimum.accumulate(segment, out=segment)
+    return data, ptr
 
 
 def generate_mixed_jobs(

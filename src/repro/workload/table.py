@@ -51,8 +51,8 @@ class JobTable:
     Parameters mirror the per-job fields of :class:`MoldableJob`; profiles
     are ragged, so they are stored CSR-style in ``data`` (concatenated
     float64 runtimes) indexed by ``ptr`` (``ptr[i]:ptr[i+1]`` is job *i*'s
-    profile).  Use :meth:`from_profiles` / :meth:`from_jobs` instead of the
-    raw constructor.
+    profile).  Use :meth:`from_profiles`, :meth:`from_csr` or :meth:`from_jobs`
+    instead of the raw constructor.
     """
 
     __slots__ = (
@@ -99,21 +99,46 @@ class JobTable:
     ) -> "JobTable":
         """Build a table from per-job runtime profiles (``min_procs`` = 1)."""
 
-        if weights is not None and len(weights) != len(names):
-            raise ValueError("weights and names must have the same length")
-        if release_dates is not None and len(release_dates) != len(names):
-            raise ValueError("release_dates and names must have the same length")
-        n = len(names)
         arrays = [_as_profile(p) for p in profiles]
-        if len(arrays) != n:
+        if len(arrays) != len(names):
             raise ValueError("profiles and names must have the same length")
-        lengths = np.fromiter((a.shape[0] for a in arrays), dtype=np.int64, count=n)
+        lengths = np.fromiter((a.shape[0] for a in arrays), dtype=np.int64, count=len(arrays))
+        ptr = np.zeros(len(arrays) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=ptr[1:])
+        data = np.concatenate(arrays) if arrays else np.empty(0, dtype=float)
+        return cls.from_csr(
+            names, data, ptr, weights=weights, release_dates=release_dates, validate=validate
+        )
+
+    @classmethod
+    def from_csr(
+        cls,
+        names: Sequence[str],
+        data: "np.ndarray",
+        ptr: "np.ndarray",
+        *,
+        weights: Optional[Sequence[float]] = None,
+        release_dates: Optional[Sequence[float]] = None,
+        validate: bool = True,
+    ) -> "JobTable":
+        """Build a table from CSR profiles (``min_procs`` = 1).
+
+        ``data[ptr[i]:ptr[i+1]]`` is job *i*'s runtime profile; ``data`` is
+        a float64 array and ``ptr`` an int64 array of ``len(names) + 1``
+        offsets.  Both are kept, not copied.
+        """
+
+        n = len(names)
+        if weights is not None and len(weights) != n:
+            raise ValueError("weights and names must have the same length")
+        if release_dates is not None and len(release_dates) != n:
+            raise ValueError("release_dates and names must have the same length")
+        if ptr.shape[0] != n + 1:
+            raise ValueError("profiles and names must have the same length")
+        lengths = np.diff(ptr)
         if n and lengths.min() < 1:
             i = int(np.argmin(lengths))
             raise ValueError(f"job {names[i]!r}: empty runtime profile")
-        ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lengths, out=ptr[1:])
-        data = np.concatenate(arrays) if n else np.empty(0, dtype=float)
         release = (
             np.asarray(release_dates, dtype=float)
             if release_dates is not None

@@ -8,6 +8,7 @@ from repro.core.bounds import (
 )
 from repro.core.criteria import makespan, weighted_completion_time
 from repro.core.job import MoldableJob
+from repro.core.policies.base import SchedulerError
 from repro.core.policies.bicriteria import BiCriteriaScheduler
 from repro.core.policies.list_scheduling import ListScheduler
 from repro.core.policies.mrt import GreedyMoldableScheduler, MRTScheduler
@@ -100,3 +101,20 @@ class TestBiCriteriaScheduler:
         scheduler.schedule(random_moldable_jobs, 16)
         names = [name for batch in scheduler.last_batches for name in batch.jobs]
         assert sorted(names) == sorted(j.name for j in random_moldable_jobs)
+
+    @pytest.mark.parametrize("inner", [None, MRTScheduler()], ids=["default", "mrt"])
+    def test_unplaceable_moldable_job_raises_scheduler_error(self, inner):
+        """A moldable job needing more processors than the platform has is
+        rejected with a typed error naming it, before any batch is built."""
+
+        jobs = [
+            MoldableJob(name="small", runtimes=[1.0]),
+            MoldableJob(name="big", runtimes=[8, 4, 3, 2.5], min_procs=3),
+        ]
+        scheduler = BiCriteriaScheduler(inner)
+        with pytest.raises(
+            SchedulerError,
+            match="moldable job 'big' needs at least 3 processors, platform only has 2",
+        ):
+            scheduler.schedule(jobs, 2)
+        assert scheduler.last_batches == []
