@@ -20,17 +20,17 @@
 #   make distributed-stress    stealing/speculation stress smoke: 32-worker
 #                              inproc fleet, 1s speculation delay
 #   make store-smoke           serial + inproc campaigns into one columnar
-#                              store, then SQL compare + validate (mirrors
-#                              the CI store-smoke job; falls back to the
-#                              pure-python engine without duckdb/pyarrow)
+#                              store, then compare + validate (mirrors the
+#                              CI store-smoke job; JSONL parts without
+#                              pyarrow, Parquet with it)
 #   make dashboard-smoke       run a campaign under a live dashboard with
 #                              concurrent pollers, check every endpoint and
 #                              prove the row digest identical to a serial,
 #                              unobserved baseline (mirrors the CI job)
 #   make telemetry-smoke       record a 4-worker tcp fleet with the flight
 #                              recorder, assert digest parity vs serial,
-#                              forwarded worker.* rows landed, and SQL/py
-#                              query agreement (mirrors the CI job)
+#                              forwarded worker.* rows landed, and a
+#                              non-empty phase attribution (mirrors the CI job)
 #   make lint                  ruff check (byte-compilation fallback)
 #   make ci                    lint + test + scenario smoke (mirrors CI)
 #   make clean                 remove caches and stale bytecode
@@ -110,10 +110,10 @@ distributed-stress:
 
 # Land the same smoke campaigns twice -- once serial, once over inproc://
 # comms -- in ONE columnar store, then prove the two campaigns are
-# cell-for-cell identical with the SQL compare and re-check the paper's
-# ratio bounds with the validation queries.  --engine auto uses DuckDB/
-# Parquet when the [analytics] extra is installed and the pure-python
-# JSONL twin otherwise, so the target works in a bare checkout too.
+# cell-for-cell identical with the compare query and re-check the paper's
+# ratio bounds with the validation rules.  Part files are Parquet when the
+# [analytics] extra (pyarrow) is installed and JSONL otherwise, so the
+# target works in a bare checkout too.
 STORE_DIR ?= .store-smoke
 STORE_SCENARIOS ?= fig2.bicriteria mix.rigid-moldable
 
@@ -139,7 +139,7 @@ dashboard-smoke:
 # The distributed telemetry pipeline end to end: a recorded 4-worker tcp
 # fleet must yield the same digest as an unobserved serial run, forwarded
 # worker.* span events must land in the flight-recorder store, and the
-# phase-attribution query must agree across the SQL and python engines.
+# phase-attribution query must be non-empty.
 # Mirrors the CI telemetry-smoke job.
 telemetry-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.telemetry smoke --workers 4 --comm tcp

@@ -10,7 +10,7 @@ filled in by the simulator that produced it and default to empty.
 ``mode`` tells which organisation produced the record.  Thin convenience
 properties give the single-cluster view (``schedule``, ``criteria``,
 ``policy``, ``makespan``) and the best-effort grid view
-(``local_schedules``, ``total_runs_completed``, ``grid_throughput()``).
+(``total_runs_completed``, ``grid_throughput()``).
 
 :class:`RunRecord` is the uniform per-execution view: one completed job run
 (name, cluster, start, runtime, processors), the row type the reporting
@@ -249,14 +249,6 @@ class SimulationRecord:
         return max((s.makespan() for s in self.schedules.values()), default=0.0)
 
     # -- best-effort grid view ----------------------------------------------
-    @property
-    def local_schedules(self) -> Dict[str, Schedule]:
-        return self.schedules
-
-    @property
-    def local_criteria(self) -> Dict[str, CriteriaReport]:
-        return self.cluster_criteria
-
     @property
     def total_runs_completed(self) -> int:
         return sum(self.runs_completed.values())

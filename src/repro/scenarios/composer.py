@@ -509,8 +509,8 @@ def _run_grid_centralized(spec: ScenarioSpec, seed: int) -> Dict[str, Any]:
             {
                 "cluster": cluster.name,
                 "community": cluster.community,
-                "local_jobs": result.local_criteria[cluster.name].n_jobs,
-                "local_makespan_h": result.local_criteria[cluster.name].makespan,
+                "local_jobs": result.cluster_criteria[cluster.name].n_jobs,
+                "local_makespan_h": result.cluster_criteria[cluster.name].makespan,
                 "utilization": result.utilization[cluster.name],
             }
             for cluster in grid
@@ -518,14 +518,14 @@ def _run_grid_centralized(spec: ScenarioSpec, seed: int) -> Dict[str, Any]:
         "owners_ok": {
             cluster.name: all(
                 entry.job.owner == cluster.community
-                for entry in result.local_schedules[cluster.name]
+                for entry in result.schedules[cluster.name]
             )
             for cluster in grid
         },
     }
     for cluster in grid:
         metrics[f"utilization.{cluster.name}"] = result.utilization[cluster.name]
-        metrics[f"local_makespan.{cluster.name}"] = result.local_criteria[cluster.name].makespan
+        metrics[f"local_makespan.{cluster.name}"] = result.cluster_criteria[cluster.name].makespan
     return metrics
 
 

@@ -1,4 +1,4 @@
-"""Columnar campaign store: the unified results API and SQL analytics layer.
+"""Columnar campaign store: the unified results API and its named queries.
 
 The package has four layers, importable a la carte:
 
@@ -7,14 +7,13 @@ The package has four layers, importable a la carte:
   export entry point behind the CLIs' ``--out`` flags.
 * :mod:`repro.store.columnar` -- :class:`CampaignStore`, Parquet (or JSONL
   fallback) partitions published through an atomic manifest.
-* :mod:`repro.store.queries` / :mod:`repro.store.analytics` -- named SQL
-  queries over a DuckDB view of the store, each with a pure-python twin.
+* :mod:`repro.store.queries` -- named queries over the store's records.
 * :mod:`repro.store.validate` -- the paper's ratio bounds as validation
   queries; :mod:`repro.store.ingest` -- legacy journal/CSV import.
 
-Only the standard library and numpy are required; duckdb and pyarrow are
-the optional ``[analytics]`` extra and every entry point degrades to a
-pure-python path without them.
+Only the standard library and numpy are required; pyarrow is the optional
+``[analytics]`` extra, and without it part files are JSONL instead of
+Parquet.
 """
 
 from repro.store.api import (

@@ -41,7 +41,7 @@ except ImportError:  # pragma: no cover - very old interpreters
 
 
 class StoreUnavailableError(RuntimeError):
-    """An operation needs an optional analytics dependency that is absent.
+    """An operation needs the optional ``pyarrow`` dependency and it is absent.
 
     Raised instead of a bare ``ImportError`` so the message can say *what to
     install* (``pip install 'repro-dutot-emt04[analytics]'``) and callers can
@@ -244,10 +244,10 @@ def store_trace(
 
     Each :class:`~repro.simulation.tracing.TraceEvent` becomes one flat row
     (:meth:`Trace.flat_records` shape) in a ``trace.<scenario>`` partition,
-    so SQL analytics can join schedules against the result rows of the same
-    campaign.  ``store`` is a :class:`~repro.store.columnar.CampaignStore`
-    or a store directory path; ``label`` distinguishes multiple traces of
-    one scenario (e.g. a policy or seed tag).  Row keys are explicit
+    so a campaign's schedules sit beside its result rows in one store.
+    ``store`` is a :class:`~repro.store.columnar.CampaignStore` or a store
+    directory path; ``label`` distinguishes multiple traces of one scenario
+    (e.g. a policy or seed tag).  Row keys are explicit
     (position-based) because identical events are legitimate in a trace and
     must not be deduplicated away.  Returns the number of rows written.
     """

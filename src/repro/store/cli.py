@@ -11,12 +11,12 @@
         --out points.csv                               # bit-identical re-export
     python -m repro.store compare --store results/ --metric cmax_ratio \\
         --campaign-a serial --campaign-b inproc
-    python -m repro.store validate --store results/    # paper ratio checks, in SQL
+    python -m repro.store validate --store results/    # paper ratio checks
 
 Exit codes: 0 on success, 1 when a validation rule fails (or a compare
-finds differing cells), 2 on usage errors.  SQL runs on DuckDB when the
-``[analytics]`` extra is installed; every command falls back to the
-pure-python engine otherwise (force one with ``--engine sql|py``).
+finds differing cells), 2 on usage errors -- including a compare that
+checked nothing: an unknown campaign, or no joined cell carrying the metric
+on both sides.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.store.api import FORMATS, StoreUnavailableError, write_rows
 from repro.store.columnar import CampaignStore
-from repro.store.queries import QUERIES, QueryError, get_query, run_query
+from repro.store.queries import QUERIES, QueryError, run_query
 from repro.store.validate import validate_store
 
 
@@ -44,12 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     store_arg.add_argument(
         "--store", type=Path, required=True, metavar="DIR",
         help="campaign store directory (manifest.json + partitions)",
-    )
-    engine_arg = argparse.ArgumentParser(add_help=False)
-    engine_arg.add_argument(
-        "--engine", choices=("auto", "sql", "py"), default="auto",
-        help="query engine: DuckDB SQL, pure python, or auto (default: SQL "
-             "when duckdb is installed)",
     )
     out_arg = argparse.ArgumentParser(add_help=False)
     out_arg.add_argument(
@@ -77,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ing.add_argument("--scenario", default=None, help="scenario label for the rows")
 
     qry = sub.add_parser(
-        "query", parents=[store_arg, engine_arg, out_arg],
+        "query", parents=[store_arg, out_arg],
         help="run a named analytics query",
         description="Run one of the named queries; see --list.",
     )
@@ -86,28 +80,26 @@ def _build_parser() -> argparse.ArgumentParser:
         "--param", action="append", default=[], metavar="NAME=VALUE",
         help="query parameter (repeatable), e.g. --param metric=cmax_ratio",
     )
-    qry.add_argument("--sql", action="store_true", help="print the SQL text and exit")
     qry.add_argument("--list", action="store_true", dest="list_queries",
                      help="list the named queries")
 
     cmp_ = sub.add_parser(
-        "compare", parents=[store_arg, engine_arg, out_arg],
+        "compare", parents=[store_arg, out_arg],
         help="diff one metric cell-by-cell across two campaigns",
     )
     cmp_.add_argument("--metric", required=True, help="metric column to compare")
-    cmp_.add_argument("--campaign-a", default=None, help="left campaign (default: first of two)")
-    cmp_.add_argument("--campaign-b", default=None, help="right campaign (default: second of two)")
+    cmp_.add_argument("--campaign-a", default=None,
+                      help="left campaign (default: the other of exactly two)")
+    cmp_.add_argument("--campaign-b", default=None,
+                      help="right campaign (default: the other of exactly two)")
     cmp_.add_argument("--scenario", default=None, help="restrict to one scenario")
 
     val = sub.add_parser(
-        "validate", parents=[store_arg, engine_arg],
+        "validate", parents=[store_arg],
         help="check the paper's ratio bounds over every stored row",
     )
     val.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
-
-
-# `query --list` / `query --sql` don't need --store; patch required check there.
 
 
 def _parse_params(pairs: List[str]) -> Dict[str, Any]:
@@ -185,13 +177,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print("give a query name (or --list)", file=sys.stderr)
         return 2
     try:
-        query = get_query(args.name)
         params = _parse_params(args.param)
-        if args.sql:
-            print(query.sql(**params))
-            return 0
         store = CampaignStore(args.store)
-        rows = run_query(store, args.name, params, engine=args.engine)
+        rows = run_query(store, args.name, params)
     except (QueryError, StoreUnavailableError) as error:
         print(error, file=sys.stderr)
         return 2
@@ -201,9 +189,14 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     store = CampaignStore(args.store)
+    campaigns = store.campaigns()
     campaign_a, campaign_b = args.campaign_a, args.campaign_b
+    for named in (campaign_a, campaign_b):
+        if named is not None and named not in campaigns:
+            print(f"campaign {named!r} is not in the store; it holds {campaigns}",
+                  file=sys.stderr)
+            return 2
     if campaign_a is None or campaign_b is None:
-        campaigns = store.campaigns()
         if len(campaigns) != 2:
             print(
                 f"store holds {len(campaigns)} campaign(s) {campaigns}; "
@@ -211,17 +204,26 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        campaign_a, campaign_b = campaigns
+        # Default only the missing side, to the other of the two campaigns.
+        if campaign_a is None:
+            campaign_a = next(c for c in campaigns if c != campaign_b)
+        if campaign_b is None:
+            campaign_b = next(c for c in campaigns if c != campaign_a)
     params = {"metric": args.metric, "campaign_a": campaign_a,
               "campaign_b": campaign_b, "scenario": args.scenario}
     try:
         rows = run_query(
-            store, "compare",
-            {k: v for k, v in params.items() if v is not None},
-            engine=args.engine,
+            store, "compare", {k: v for k, v in params.items() if v is not None}
         )
     except (QueryError, StoreUnavailableError) as error:
         print(error, file=sys.stderr)
+        return 2
+    if not any(row["equal"] is not None for row in rows):
+        print(
+            f"no joined cell of {campaign_a} vs {campaign_b} ({len(rows)} joined) "
+            f"carries {args.metric!r} on both sides: nothing was compared",
+            file=sys.stderr,
+        )
         return 2
     _emit(rows, args.out, args.out_format,
           title=f"{args.metric}: {campaign_a} vs {campaign_b} ({len(rows)} cells)")
@@ -233,7 +235,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     store = CampaignStore(args.store)
     try:
-        results = validate_store(store, engine=args.engine)
+        results = validate_store(store)
     except StoreUnavailableError as error:
         print(error, file=sys.stderr)
         return 2
@@ -251,10 +253,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # `query --list` and `query ... --sql` are store-free: satisfy the
-    # --store requirement before argparse enforces it.
-    if argv[:1] == ["query"] and ("--list" in argv or "--sql" in argv) \
-            and "--store" not in argv:
+    # `query --list` is store-free: satisfy the --store requirement before
+    # argparse enforces it.
+    if argv[:1] == ["query"] and "--list" in argv and "--store" not in argv:
         argv += ["--store", "."]
     parser = _build_parser()
     args = parser.parse_args(argv)

@@ -15,7 +15,7 @@ the new manifest, and orphaned part files are ignored.
 
 Every record carries the exact result row as a ``row_json`` string (the
 bit-identity channel) *plus* promoted native columns for each scalar value
-(the SQL channel -- what DuckDB aggregates without JSON unpacking), and is
+(what an outside Parquet reader sees without JSON unpacking), and is
 keyed by :func:`repro.experiments.grid.cell_key` + the run-function
 fingerprint, the same dedup keying the result cache and the campaign
 journal use.  Appending the same cell to the same campaign twice is a
@@ -23,8 +23,7 @@ counted no-op.
 
 Parquet needs the optional ``pyarrow`` dependency (the ``[analytics]``
 extra); without it the store transparently falls back to JSONL part files
-with the identical record layout, so every query -- SQL or pure-python --
-works on both formats.
+with the identical record layout, so every query works on both formats.
 """
 
 from __future__ import annotations
@@ -82,7 +81,7 @@ def normalize_columns(
     Within one batch a column mixing ints and floats is widened to float;
     a column mixing incompatible types (e.g. numbers and strings from an
     ``error`` axis) is stringified.  ``row_json`` always holds the exact
-    values, so normalisation only affects the promoted SQL columns.
+    values, so normalisation only affects the promoted columns.
     """
 
     for column in columns:
@@ -113,7 +112,7 @@ def normalize_columns(
 
 
 def promote_scalars(row: Mapping[str, Any]) -> Dict[str, Any]:
-    """The SQL-queryable columns of a row: scalar values, minus reserved names.
+    """The promoted columns of a row: scalar values, minus reserved names.
 
     Non-scalar values (lists, nested dicts) stay in ``row_json`` only;
     ``experiment`` and ``seed`` are already meta columns.
@@ -257,14 +256,6 @@ class CampaignStore:
 
     def scenarios(self, campaign: Optional[str] = None) -> List[str]:
         return sorted({p.scenario for p in self.partitions(campaign=campaign)})
-
-    def files_by_format(self) -> Dict[str, List[Path]]:
-        """Manifest-referenced part files grouped by format (for SQL views)."""
-
-        grouped: Dict[str, List[Path]] = {}
-        for part in self.partitions():
-            grouped.setdefault(part.format, []).append(self.root / part.path)
-        return grouped
 
     def _write_manifest(self, payload: Dict[str, Any]) -> None:
         self.root.mkdir(parents=True, exist_ok=True)

@@ -3,8 +3,7 @@
 :mod:`repro.experiments.ratio_checks` verifies the approximation-ratio
 statements of section 4 by generating instances and running the policies;
 this module checks the *same bounds* on rows already landed in a campaign
-store -- so a production store of millions of cells can be audited with one
-SQL pass instead of re-running anything:
+store, so a finished campaign can be audited without re-running anything:
 
 * bi-criteria doubling batches: ``cmax_ratio`` and ``wici_ratio`` within
   ``4 * rho = 8`` (section 4.4, rho = 2 for the greedy inner procedure);
@@ -12,21 +11,19 @@ SQL pass instead of re-running anything:
   below 1;
 * per-cell timings are non-negative (a corrupted ingest would violate it).
 
-Each rule renders to SQL (DuckDB engine) and evaluates in pure python (the
-fallback twin); both return the same :class:`RuleResult`, and the tests
-cross-check the worst observed values against
-:class:`~repro.metrics.aggregate.StreamingAggregator` and the stated bounds
-of :mod:`repro.experiments.ratio_checks`.
+Each rule evaluates in one pass over the store's records and returns a
+:class:`RuleResult`; the tests pin the results on a hand-built store and
+cross-check the stated bound against :mod:`repro.experiments.ratio_checks`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.store.columnar import CampaignStore
-from repro.store.queries import _metric_expr, _numeric
+from repro.store.queries import _numeric
 
 #: Stated bound of the bi-criteria scheduler on both criteria: 4 * rho with
 #: rho = 2 for the greedy moldable inner procedure (paper section 4.4) --
@@ -41,7 +38,7 @@ TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class ValidationRule:
-    """One bound on one metric column, checkable in SQL or python."""
+    """One bound on one metric column."""
 
     name: str
     description: str
@@ -50,24 +47,6 @@ class ValidationRule:
     lower: Optional[float] = None
     #: The metric lives in the record meta columns, not the result row.
     meta: bool = False
-
-    def _violation_sql(self, expr: str) -> str:
-        clauses = []
-        if self.upper is not None:
-            clauses.append(f"{expr} > {self.upper + TOLERANCE!r}")
-        if self.lower is not None:
-            clauses.append(f"{expr} < {self.lower - TOLERANCE!r}")
-        return " OR ".join(clauses) or "FALSE"
-
-    def sql(self) -> str:
-        expr = _metric_expr(self.metric)
-        return (
-            f"SELECT count({expr}) AS checked, "
-            f"coalesce(sum(CASE WHEN {self._violation_sql(expr)} THEN 1 ELSE 0 END), 0)"
-            " AS violations, "
-            f"max({expr}) AS worst_high, min({expr}) AS worst_low "
-            f"FROM rows WHERE {expr} IS NOT NULL"
-        )
 
     def _violates(self, value: float) -> bool:
         if self.upper is not None and value > self.upper + TOLERANCE:
@@ -90,15 +69,6 @@ class ValidationRule:
             violations=violations,
             worst_high=max(values) if values else None,
             worst_low=min(values) if values else None,
-        )
-
-    def result_from_sql(self, result_row: Mapping[str, Any]) -> "RuleResult":
-        return RuleResult(
-            rule=self,
-            checked=int(result_row.get("checked") or 0),
-            violations=int(result_row.get("violations") or 0),
-            worst_high=result_row.get("worst_high"),
-            worst_low=result_row.get("worst_low"),
         )
 
 
@@ -187,31 +157,14 @@ RULES: Tuple[ValidationRule, ...] = (
 
 
 def validate_store(
-    store: CampaignStore, *, engine: str = "auto", rules: Tuple[ValidationRule, ...] = RULES
+    store: CampaignStore, *, engine: str = "py", rules: Tuple[ValidationRule, ...] = RULES
 ) -> List[RuleResult]:
-    """Evaluate every rule; ``engine`` as in :func:`repro.store.queries.run_query`."""
+    """Evaluate every rule over the store's records.
 
-    from repro.store.analytics import connect, duckdb_available, fetch_dicts
+    ``engine`` accepts only ``"py"``, as in :func:`repro.store.queries.run_query`.
+    """
 
-    if engine not in ("auto", "sql", "py"):
-        raise ValueError(f"unknown engine {engine!r}; expected auto, sql or py")
-    use_sql = engine == "sql" or (engine == "auto" and duckdb_available())
-    if use_sql:
-        connection = connect(store)
-        try:
-            # A rule whose metric appears in no partition must *skip*, not
-            # error: the unioned view simply has no such column to cast.
-            cursor = connection.execute("SELECT * FROM rows LIMIT 0")
-            available = {description[0] for description in cursor.description}
-            results = []
-            for rule in rules:
-                if rule.metric not in available:
-                    results.append(RuleResult(rule, 0, 0, None, None))
-                    continue
-                (result_row,) = fetch_dicts(connection, rule.sql())
-                results.append(rule.result_from_sql(result_row))
-            return results
-        finally:
-            connection.close()
+    if engine != "py":
+        raise ValueError(f"unknown engine {engine!r}; expected py")
     records = store.records()
     return [rule.check_py(records) for rule in rules]

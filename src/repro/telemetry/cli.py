@@ -6,16 +6,16 @@
     python -m repro.telemetry record --all --smoke --store runs/flight \\
         --executor inproc://                       # distributed, forwarded spans
     python -m repro.telemetry replay --store runs/flight --topic worker. --limit 20
-    python -m repro.telemetry report phase-attribution --store runs/flight
-    python -m repro.telemetry report worker-occupancy --store runs/flight --engine py
-    python -m repro.telemetry smoke                # CI: fleet + recorder + parity
+    python -m repro.store query phase-attribution --store runs/flight
+    python -m repro.telemetry smoke                # CI: fleet + recorder
 
 ``record`` runs scenarios with a :class:`~repro.telemetry.recorder.
 TelemetryRecorder` attached to the process bus, so every event -- sweep
 lifecycle, scheduler decisions, forwarded ``worker.*`` spans -- lands in
 ``telemetry.<campaign>`` partitions of the given store.  ``replay`` prints
-recorded events back in landed order; ``report`` runs the telemetry twin
-queries (``span-summary``, ``worker-occupancy``, ``phase-attribution``).
+recorded events back in landed order.  The telemetry queries
+(``span-summary``, ``worker-occupancy``, ``phase-attribution``) run through
+``python -m repro.store query`` like every other named query.
 
 Recording is observation only: scenario digests are bit-identical with the
 recorder on or off (``smoke`` proves exactly that against a 4-worker
@@ -31,19 +31,16 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
-from repro.store.queries import QUERIES, QueryError, run_query
+from repro.store.queries import run_query
 from repro.telemetry.recorder import TELEMETRY_SCENARIO_PREFIX, TelemetryRecorder
-
-#: Queries `report` lists first (any named query is accepted).
-TELEMETRY_QUERIES = ("span-summary", "worker-occupancy", "phase-attribution")
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.telemetry",
-        description="Flight recorder: record runs, replay events, report timings.",
+        description="Flight recorder: record runs, replay events, smoke-test a fleet.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -86,36 +83,9 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--kind", default=None, help="only events of this payload kind")
     rep.add_argument("--limit", type=int, default=None, help="stop after N events")
 
-    rpt = sub.add_parser(
-        "report",
-        parents=[store_arg],
-        help="run a named query over the recorded telemetry",
-        description="Named queries over recorded telemetry; the telemetry trio is "
-                    + ", ".join(TELEMETRY_QUERIES) + " but any store query works.",
-    )
-    rpt.add_argument("name", nargs="?", default=None, help="query name (see --list)")
-    rpt.add_argument(
-        "--param", action="append", default=[], metavar="NAME=VALUE",
-        help="query parameter (repeatable), e.g. --param campaign=fleet",
-    )
-    rpt.add_argument(
-        "--engine", choices=("auto", "sql", "py"), default="auto",
-        help="query engine (default: SQL when duckdb is installed)",
-    )
-    rpt.add_argument(
-        "--out", type=Path, default=None, metavar="PATH",
-        help="write the result rows to this file instead of printing a table",
-    )
-    rpt.add_argument(
-        "--format", default=None, dest="out_format",
-        help="output format (default: inferred from the --out suffix)",
-    )
-    rpt.add_argument("--list", action="store_true", dest="list_queries",
-                     help="list the named queries")
-
     smk = sub.add_parser(
         "smoke",
-        help="CI smoke: tcp fleet + recorder, digest parity, query-engine parity",
+        help="CI smoke: tcp fleet + recorder, digest parity, non-empty phase attribution",
     )
     smk.add_argument(
         "--scenario", default="fig2.bicriteria",
@@ -184,48 +154,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.store.api import StoreUnavailableError
-    from repro.store.cli import _emit, _parse_params
-    from repro.store.columnar import CampaignStore
-
-    if args.list_queries:
-        width = max(len(name) for name in QUERIES)
-        for name in sorted(QUERIES, key=lambda n: (n not in TELEMETRY_QUERIES, n)):
-            query = QUERIES[name]
-            params = ", ".join(list(query.required) + [f"[{p}]" for p in query.optional])
-            print(f"{name:<{width}}  ({params})  {query.description}")
-        return 0
-    if args.name is None:
-        print("give a query name (or --list)", file=sys.stderr)
-        return 2
-    try:
-        params = _parse_params(args.param)
-        store = CampaignStore(args.store)
-        rows = run_query(store, args.name, params, engine=args.engine)
-    except (QueryError, StoreUnavailableError) as error:
-        print(error, file=sys.stderr)
-        return 2
-    _emit(rows, args.out, args.out_format, title=f"{args.name} ({len(rows)} rows)")
-    return 0
-
-
-def _rows_agree(py_rows: List[Dict[str, Any]], sql_rows: List[Dict[str, Any]]) -> bool:
-    """Engine parity: same shape, same keys, floats within tolerance."""
-
-    if len(py_rows) != len(sql_rows):
-        return False
-    for py_row, sql_row in zip(py_rows, sql_rows):
-        for field, expected in py_row.items():
-            got = sql_row.get(field)
-            if isinstance(expected, float):
-                if got is None or abs(float(got) - expected) > 1e-9 * max(1.0, abs(expected)):
-                    return False
-            elif got != expected:
-                return False
-    return True
-
-
 def _cmd_smoke(args: argparse.Namespace) -> int:
     """Fleet + recorder smoke: the CI telemetry job in one command.
 
@@ -233,7 +161,7 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
     2. the same scenario over a recorded ``--workers`` fleet -- digest must
        be bit-identical;
     3. forwarded ``worker.*`` events and span rows must have landed;
-    4. ``phase-attribution`` must be non-empty and agree across engines.
+    4. ``phase-attribution`` must be non-empty.
     """
 
     import tempfile
@@ -241,7 +169,6 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
     from repro.distributed.executor import inproc_fleet, local_mini_cluster
     from repro.scenarios.composer import run_scenario, rows_digest
     from repro.scenarios.registry import get
-    from repro.store.analytics import duckdb_available
     from repro.store.columnar import CampaignStore
 
     spec = get(args.scenario)
@@ -279,20 +206,12 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
     if not span_events:
         failures.append("no span events landed in the store")
 
-    py_rows = run_query(store, "phase-attribution", engine="py")
-    if not py_rows:
-        failures.append("phase-attribution (py) returned no rows")
+    phase_rows = run_query(store, "phase-attribution")
+    if not phase_rows:
+        failures.append("phase-attribution returned no rows")
     else:
-        phases = ", ".join(f"{r['phase']}={r['total_seconds']:.3f}s" for r in py_rows)
+        phases = ", ".join(f"{r['phase']}={r['total_seconds']:.3f}s" for r in phase_rows)
         print(f"phase-attribution: {phases}")
-    if duckdb_available():
-        sql_rows = run_query(store, "phase-attribution", engine="sql")
-        if not _rows_agree(py_rows, sql_rows):
-            failures.append("phase-attribution: sql and py engines disagree")
-        else:
-            print("phase-attribution: sql and py engines agree")
-    else:
-        print("duckdb not installed: skipped sql/py parity leg")
 
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
@@ -301,18 +220,12 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # `report --list` is store-free: satisfy --store before argparse does.
-    if argv[:1] == ["report"] and "--list" in argv and "--store" not in argv:
-        argv += ["--store", "."]
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "record":
         return _cmd_record(args)
     if args.command == "replay":
         return _cmd_replay(args)
-    if args.command == "report":
-        return _cmd_report(args)
     if args.command == "smoke":
         return _cmd_smoke(args)
     parser.error(f"unknown command {args.command!r}")

@@ -92,7 +92,7 @@ class TestPerClusterPolicies:
         )
         result = simulator.run({"alpha": blocked_head_jobs()})
         assert result.policies == {"alpha": "backfill", "beta": "fifo"}
-        assert result.local_schedules["alpha"]["small"].start == pytest.approx(2.0)
+        assert result.schedules["alpha"]["small"].start == pytest.approx(2.0)
 
     def test_unknown_cluster_in_policy_mapping_rejected(self):
         with pytest.raises(ValueError):
@@ -253,7 +253,7 @@ class TestSimulationRecord:
         assert centralized.mode == "grid-centralized"
         assert decentralized.mode == "grid-decentralized"
         # Legacy surfaces still answer.
-        assert set(centralized.local_criteria) == {"alpha", "beta"}
+        assert set(centralized.cluster_criteria) == {"alpha", "beta"}
         assert centralized.grid_throughput() == 0.0
         assert sum(c.n_jobs for c in decentralized.criteria.values()) == 3
         assert decentralized.fairness is not None

@@ -47,22 +47,16 @@ class TestQuery:
         out = capsys.readouterr().out
         assert "metric-summary" in out and "compare" in out
 
-    def test_sql_prints_text(self, capsys):
-        assert main(["query", "metric-summary", "--param", "metric=cmax_ratio",
-                     "--sql"]) == 0
-        assert "FROM rows" in capsys.readouterr().out
-
     def test_named_query_runs(self, tmp_path, capsys):
         seed_store(tmp_path / "s")
         assert main(["query", "metric-summary", "--store", str(tmp_path / "s"),
-                     "--param", "metric=cmax_ratio", "--engine", "py"]) == 0
+                     "--param", "metric=cmax_ratio"]) == 0
         assert "serial" in capsys.readouterr().out
 
     def test_bad_query_and_params_exit_2(self, tmp_path, capsys):
         seed_store(tmp_path / "s", campaigns=("only",))
         assert main(["query", "nope", "--store", str(tmp_path / "s")]) == 2
-        assert main(["query", "metric-summary", "--store", str(tmp_path / "s"),
-                     "--engine", "py"]) == 2
+        assert main(["query", "metric-summary", "--store", str(tmp_path / "s")]) == 2
         assert main(["query", "rows", "--store", str(tmp_path / "s"),
                      "--param", "oops"]) == 2
         capsys.readouterr()
@@ -77,44 +71,73 @@ class TestQuery:
         direct = tmp_path / "direct.csv"
         direct.write_text(to_csv(result.rows), encoding="utf-8")
         assert main(["query", "rows", "--store", str(tmp_path / "s"),
-                     "--engine", "py", "--out", str(tmp_path / "reexport.csv")]) == 0
+                     "--out", str(tmp_path / "reexport.csv")]) == 0
         capsys.readouterr()
         assert (tmp_path / "reexport.csv").read_bytes() == direct.read_bytes()
+
+
+def two_campaign_store(root, values=(("inproc", 1.0), ("serial", 2.0))):
+    """One shared cell per campaign, carrying metric ``m``."""
+
+    for campaign, value in values:
+        store = CampaignStore(root, campaign=campaign, fmt="jsonl")
+        store.append_row(
+            {"experiment": "e", "seed": 1, "m": value},
+            scenario="sc", key="shared-cell-key",
+        )
+        store.flush()
+    return root
 
 
 class TestCompare:
     def test_identical_campaigns_exit_0(self, tmp_path, capsys):
         seed_store(tmp_path / "s")
         assert main(["compare", "--store", str(tmp_path / "s"),
-                     "--metric", "cmax_ratio", "--engine", "py"]) == 0
+                     "--metric", "cmax_ratio"]) == 0
         assert "0 differing" in capsys.readouterr().out
 
     def test_differing_campaigns_exit_1(self, tmp_path, capsys):
-        root = tmp_path / "s"
-        for campaign, value in (("a", 1.0), ("b", 2.0)):
-            store = CampaignStore(root, campaign=campaign, fmt="jsonl")
-            store.append_row(
-                {"experiment": "e", "seed": 1, "m": value},
-                scenario="sc", key="shared-cell-key",
-            )
-            store.flush()
+        root = two_campaign_store(tmp_path / "s", (("a", 1.0), ("b", 2.0)))
         assert main(["compare", "--store", str(root), "--metric", "m",
-                     "--campaign-a", "a", "--campaign-b", "b",
-                     "--engine", "py"]) == 1
+                     "--campaign-a", "a", "--campaign-b", "b"]) == 1
         assert "1 differing" in capsys.readouterr().out
 
     def test_ambiguous_campaigns_exit_2(self, tmp_path, capsys):
         seed_store(tmp_path / "s", campaigns=("a", "b", "c"))
         assert main(["compare", "--store", str(tmp_path / "s"),
-                     "--metric", "cmax_ratio", "--engine", "py"]) == 2
+                     "--metric", "cmax_ratio"]) == 2
         assert "--campaign-a" in capsys.readouterr().err
+
+    def test_one_named_side_keeps_its_place(self, tmp_path, capsys):
+        import json
+
+        root = two_campaign_store(tmp_path / "s")
+        for flag, campaign in (("--campaign-a", "serial"), ("--campaign-b", "inproc")):
+            out = tmp_path / f"{flag}.jsonl"
+            assert main(["compare", "--store", str(root), "--metric", "m",
+                         flag, campaign, "--out", str(out)]) == 1
+            (row,) = [json.loads(line) for line in out.read_text().splitlines()]
+            assert (row["a_value"], row["b_value"], row["diff"]) == (2.0, 1.0, -1.0)
+        capsys.readouterr()
+
+    def test_unknown_campaign_exits_2(self, tmp_path, capsys):
+        root = two_campaign_store(tmp_path / "s")
+        assert main(["compare", "--store", str(root), "--metric", "m",
+                     "--campaign-b", "nosuch"]) == 2
+        err = capsys.readouterr().err
+        assert "'nosuch'" in err and "inproc" in err and "serial" in err
+
+    def test_unknown_metric_exits_2(self, tmp_path, capsys):
+        seed_store(tmp_path / "s")
+        assert main(["compare", "--store", str(tmp_path / "s"),
+                     "--metric", "nosuch_metric"]) == 2
+        assert "nothing was compared" in capsys.readouterr().err
 
 
 class TestValidate:
     def test_clean_store_exits_0(self, tmp_path, capsys):
         seed_store(tmp_path / "s", campaigns=("only",))
-        assert main(["validate", "--store", str(tmp_path / "s"),
-                     "--engine", "py"]) == 0
+        assert main(["validate", "--store", str(tmp_path / "s")]) == 0
         out = capsys.readouterr().out
         assert "bicriteria-cmax-within-4rho" in out
         assert "FAIL" not in out
@@ -124,16 +147,14 @@ class TestValidate:
         store.append_row({"experiment": "bad", "seed": 0, "cmax_ratio": 99.0},
                          scenario="bad")
         store.flush()
-        assert main(["validate", "--store", str(tmp_path / "s"),
-                     "--engine", "py"]) == 1
+        assert main(["validate", "--store", str(tmp_path / "s")]) == 1
         assert "FAIL" in capsys.readouterr().out
 
     def test_json_output(self, tmp_path, capsys):
         import json
 
         seed_store(tmp_path / "s", campaigns=("only",))
-        assert main(["validate", "--store", str(tmp_path / "s"),
-                     "--engine", "py", "--json"]) == 0
+        assert main(["validate", "--store", str(tmp_path / "s"), "--json"]) == 0
         out = capsys.readouterr().out
         payload = json.loads(out[: out.rindex("]") + 1])
         assert any(entry["rule"] == "elapsed-nonnegative" for entry in payload)

@@ -1,4 +1,4 @@
-"""``python -m repro.telemetry``: record, replay, report, smoke."""
+"""``python -m repro.telemetry``: record, replay, smoke; queries over a recording."""
 
 from __future__ import annotations
 
@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.telemetry.cli import TELEMETRY_QUERIES, main
+from repro.store.cli import main as store_main
+from repro.telemetry.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -62,37 +63,32 @@ class TestReplay:
         assert events[0]["kind"] == "sweep-end"
 
 
-class TestReport:
-    def test_list_is_store_free_and_leads_with_telemetry_queries(self, capsys):
-        assert main(["report", "--list"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        leading = [line.split()[0] for line in lines[: len(TELEMETRY_QUERIES)]]
-        assert sorted(leading) == sorted(TELEMETRY_QUERIES)
-
+class TestQueriesOverARecording:
     def test_span_summary_over_a_recording(self, recorded_store, capsys):
-        assert main([
-            "report", "span-summary", "--store", str(recorded_store),
-            "--engine", "py", "--param", "campaign=demo",
+        assert store_main([
+            "query", "span-summary", "--store", str(recorded_store),
+            "--param", "campaign=demo",
         ]) == 0
         out = capsys.readouterr().out
         assert "harness.wait" in out
 
     def test_phase_attribution_is_nonempty_and_writable(
-        self, recorded_store, tmp_path
+        self, recorded_store, tmp_path, capsys
     ):
         target = tmp_path / "phases.jsonl"
-        assert main([
-            "report", "phase-attribution", "--store", str(recorded_store),
-            "--engine", "py", "--out", str(target),
+        assert store_main([
+            "query", "phase-attribution", "--store", str(recorded_store),
+            "--out", str(target),
         ]) == 0
+        capsys.readouterr()
         rows = [json.loads(line) for line in target.read_text().splitlines()]
         assert rows and all(row["total_seconds"] > 0 for row in rows)
 
-    def test_bad_query_and_missing_name_are_usage_errors(
-        self, recorded_store, capsys
-    ):
-        assert main(["report", "no-such", "--store", str(recorded_store)]) == 2
-        assert main(["report", "--store", str(recorded_store)]) == 2
+    def test_report_command_is_gone(self, recorded_store, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["report", "span-summary", "--store", str(recorded_store)])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestSmoke:
