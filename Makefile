@@ -17,8 +17,8 @@
 #                              with 2 local workers (mirrors the CI job)
 #   make distributed-smoke-inproc   same smoke tier over inproc:// comms
 #                              (coroutine fleet, no sockets or forks)
-#   make distributed-stress    stealing/speculation stress smoke: 32-worker
-#                              inproc fleet, 1s speculation delay
+#   make distributed-stress    load smoke: the smoke tier on a 32-worker
+#                              inproc fleet (heartbeats + ordered streaming)
 #   make store-smoke           serial + inproc campaigns into one columnar
 #                              store, then compare + validate (mirrors the
 #                              CI store-smoke job; JSONL parts without
@@ -95,18 +95,18 @@ distributed-smoke:
 
 # The same smoke tier over inproc:// comms: the scheduler and a coroutine
 # worker fleet share one process and event loop -- no sockets, no forks --
-# but the frames, scheduling (stealing + speculation) and digests are the
-# same.  Mirrors the CI distributed-smoke inproc matrix leg.
+# but the frames, pull-of-one scheduling and digests are the same.
+# Mirrors the CI distributed-smoke inproc matrix leg.
 distributed-smoke-inproc:
 	PYTHONPATH=src $(PYTHON) -m repro.scenarios run --all --smoke \
 		--executor inproc://
 
-# Stress leg: a 32-worker inproc fleet with an aggressive 1s speculation
-# delay, so stealing AND speculative re-execution actually fire while the
-# digests are checked (mirrors the CI distributed-stress job).
+# Stress leg: a 32-worker inproc fleet drives every scenario's smoke tier,
+# so heartbeat liveness and ordered streaming are exercised under load while
+# the digests are checked (mirrors the CI distributed-stress job).
 distributed-stress:
 	PYTHONPATH=src $(PYTHON) -m repro.distributed run --all --smoke \
-		--comm inproc --workers 32 --speculation-delay 1
+		--comm inproc --workers 32
 
 # Land the same smoke campaigns twice -- once serial, once over inproc://
 # comms -- in ONE columnar store, then prove the two campaigns are

@@ -1,7 +1,7 @@
 """ABLATE-BICRIT: ablation of the bi-criteria scheduler's design choices.
 
-DESIGN.md calls out three knobs of the Figure-2 scheduler whose values are
-design choices rather than part of the published algorithm:
+Three knobs of the Figure-2 scheduler are design choices of this
+reproduction rather than part of the published algorithm:
 
 * the **initial deadline** of the doubling sequence (smallest job runtime by
   default, vs. starting directly at the makespan lower bound);
@@ -95,10 +95,10 @@ def test_bicriteria_ablation(run_sweep, report):
     assert worst_cmax == VARIANT_GREEDY
     assert default["variant"] not in (worst_wc, worst_cmax)
     # Starting the doubling directly at the makespan lower bound collapses the
-    # schedule into a single batch with a makespan close to the bound.  Note
-    # the ablation finding recorded in EXPERIMENTS.md: with the Figure-2
-    # weight convention (weight proportional to work) this single batch is
-    # competitive on sum w C as well, because WSPT cannot discriminate between
+    # schedule into a single batch with a makespan close to the bound.  An
+    # ablation finding: with the Figure-2 weight convention (weight
+    # proportional to work) this single batch is competitive on sum w C as
+    # well, because WSPT cannot discriminate between
     # jobs of equal weight density -- the doubling structure pays off for
     # heterogeneous weight/work ratios, not for this particular convention.
     assert big_d0["batches"] < default["batches"]

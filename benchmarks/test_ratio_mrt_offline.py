@@ -49,9 +49,9 @@ def test_mrt_offline_ratio(run_sweep, report):
     worst = max(row["mrt_ratio"] for row in rows)
     # Observed worst case of this implementation.  The stated bound of the
     # original algorithm is 3/2 + eps; the pragmatic acceptance test used here
-    # (LPT packing of the knapsack allocations, see repro.core.policies.mrt
-    # and EXPERIMENTS.md) keeps most instances below it but can reach ~1.75 on
-    # area-dominated instances.
+    # (LPT packing of the knapsack allocations, see the implementation note in
+    # repro.core.policies.mrt) keeps most instances below it but can reach
+    # ~1.75 on area-dominated instances.
     assert worst <= 1.75 + 1e-9
     mean = sum(row["mrt_ratio"] for row in rows) / len(rows)
     assert mean <= 1.5 + EPSILON + 1e-9

@@ -15,7 +15,7 @@ scheduling of ``n`` independent moldable jobs on ``m`` identical processors
   longer than ``lambda/2`` cannot share a processor, so fewer than ``m``
   processors are used by such jobs.
 
-Implementation note (also recorded in DESIGN.md): the original algorithm
+Implementation note: the original algorithm
 proves the 3/2 bound through a fairly intricate transformation of the
 knapsack solution into a two-shelf schedule.  This reproduction keeps the
 structure -- canonical allocations ``gamma(j, lambda)`` and

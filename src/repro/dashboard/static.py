@@ -96,8 +96,6 @@ td.mono { font-family: ui-monospace, 'SF Mono', Menlo, monospace; }
   <div class="tile"><div class="v" id="t-running">–</div><div class="k">running</div></div>
   <div class="tile"><div class="v" id="t-done">–</div><div class="k">cells done</div></div>
   <div class="tile"><div class="v" id="t-rate">–</div><div class="k">cells / s</div></div>
-  <div class="tile"><div class="v" id="t-steals">–</div><div class="k">steals</div></div>
-  <div class="tile"><div class="v" id="t-spec">–</div><div class="k">speculations</div></div>
   <div class="tile"><div class="v" id="t-events">–</div><div class="k">events published</div></div>
 </div>
 
@@ -157,9 +155,6 @@ function renderStatus(status) {
     const q = sched.queue || {};
     $("t-pending").textContent = fmt(q.pending);
     $("t-running").textContent = fmt(q.running);
-    const st = (sched.stats && sched.stats.counters) || {};
-    $("t-steals").textContent = fmt(st.steals);
-    $("t-spec").textContent = fmt(st.speculations);
     if (q.pending !== undefined) {
       queueDepths.push((q.pending || 0) + (q.running || 0));
       if (queueDepths.length > 240) queueDepths.shift();
@@ -202,7 +197,6 @@ function renderWorkers(workers) {
       ? null : Math.max(0, Math.min(1, w.occupancy));
     const pct = occ === null ? 0 : Math.round(occ * 100);
     return "<tr><td class='mono'></td><td>" + fmt(w.assignments) + "</td>" +
-      "<td>" + fmt(w.lease) + "</td>" +
       "<td>" + (w.busy_seconds || 0).toFixed(2) + "</td>" +
       "<td>" + (w.idle_seconds || 0).toFixed(2) + "</td>" +
       "<td><span class='occ'><div style='width:" + pct + "%'></div></span>" +
@@ -213,7 +207,7 @@ function renderWorkers(workers) {
       "</td><td>" + (w.last_seen_age || 0).toFixed(1) + "s</td></tr>";
   });
   box.innerHTML = "<table><thead><tr><th>worker</th><th>running</th>" +
-    "<th>lease</th><th>busy s</th><th>idle s</th><th>occupancy</th>" +
+    "<th>busy s</th><th>idle s</th><th>occupancy</th>" +
     "<th>cells</th><th>events</th><th>seen</th></tr></thead><tbody>" +
     rows.join("") + "</tbody></table>";
   // worker ids are untrusted text: set them via textContent, never innerHTML

@@ -12,15 +12,12 @@ layer (:mod:`repro.distributed.comm`): ``tcp://`` sockets for real fleets
 on one host or across a cluster, ``inproc://`` channels for socketless
 in-process fleets -- a thousand simulated workers in one process.
 
-Scheduling is pull-based with prefetch leases, plus **work stealing** (idle
-workers steal the queued tail of loaded workers' leases) and **speculative
-re-execution** (straggler cells are duplicated onto idle workers; the first
-result wins and the losers are cancelled).  Both ride on the runtime's
-duplicate-result idempotence -- results are keyed by position and every
-cell carries its own deterministic seed -- so they change the wall clock,
-never the rows.  Fault tolerance is retry-based (dead workers' in-flight
-cells are requeued under a bounded budget) and campaigns are resumable
-through an append-only JSONL journal
+Scheduling is pull-of-one: each worker request is answered with one cell,
+so a cell has at most one live attempt.  Fault tolerance is retry-based
+(dead or evicted workers' in-flight cells are requeued under a bounded
+budget); results are keyed by position and every cell carries its own
+deterministic seed, so a retry or a replayed result changes the wall clock,
+never the rows.  Campaigns are resumable through an append-only JSONL journal
 (:class:`~repro.distributed.campaign.CampaignJournal`).
 
 The public entry points:

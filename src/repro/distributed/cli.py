@@ -18,14 +18,15 @@
     python -m repro.distributed run grid.ciment --workers 4 --journal ciment.jsonl
 
 Addresses are scheme-prefixed comm addresses (``tcp://HOST:PORT``,
-``inproc://NAME``; see :mod:`repro.distributed.comm`), and the scheduling
-knobs of the runtime -- prefetch leases, work stealing, speculative
-re-execution -- are exposed as flags on ``scheduler`` and ``run``.
+``inproc://NAME``; see :mod:`repro.distributed.comm`).  The scheduler hands
+each worker request one cell; ``--max-retries`` bounds how often a cell is
+re-run after worker losses and ``--stall-timeout`` how long a campaign waits
+with no worker connected.
 
 ``scheduler`` and ``run`` accept the same scenario selection as
 ``python -m repro.scenarios run`` (names or ``--all`` [``--tag``]) and print
-the same ok/FAIL summary lines plus a scheduler-stats line (steals,
-speculations, retries...); exit codes are 0 on success, 1 when a scenario
+the same ok/FAIL summary lines plus a scheduler-stats line (retries,
+evictions, duplicates...); exit codes are 0 on success, 1 when a scenario
 fails, 2 on usage errors.  The scenarios CLI reaches the same runtime
 through ``python -m repro.scenarios run --executor tcp://...`` (or
 ``--executor inproc://``).
@@ -90,24 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--dashboard", type=int, default=None, metavar="PORT",
         help="serve the live telemetry dashboard on this port while the "
              "campaigns run (0 picks a free port; the URL goes to stderr)",
-    )
-    common.add_argument(
-        "--prefetch", type=int, default=2, metavar="N",
-        help="assignments per task reply; extras form the worker's stealable "
-             "lease (default: 2)",
-    )
-    common.add_argument(
-        "--no-steal", action="store_true",
-        help="disable work stealing from loaded workers' leases",
-    )
-    common.add_argument(
-        "--no-speculate", action="store_true",
-        help="disable speculative re-execution of straggler cells",
-    )
-    common.add_argument(
-        "--speculation-delay", type=float, default=5.0, metavar="SECONDS",
-        help="minimum age of a running cell before it is duplicated onto an "
-             "idle worker (default: 5)",
     )
     common.add_argument(
         "--record", type=Path, default=None, metavar="DIR",
@@ -227,10 +210,6 @@ def _scheduling_kwargs(args: argparse.Namespace) -> dict:
         "journal": args.journal,
         "max_retries": args.max_retries,
         "stall_timeout": args.stall_timeout,
-        "prefetch": args.prefetch,
-        "steal": not args.no_steal,
-        "speculate": not args.no_speculate,
-        "speculation_delay": args.speculation_delay,
     }
 
 

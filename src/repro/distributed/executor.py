@@ -22,9 +22,8 @@ selection goes through :func:`repro.experiments.executors.resolve_executor`:
   makes it an honest backend for tests that want a thousand workers.
 
 Each ``map`` call runs one campaign: start a
-:class:`~repro.distributed.scheduler.Scheduler` (work stealing and
-speculative re-execution are **on** by default here, with a prefetch of 2 to
-give stealing a backlog to feed on), raise the local fleet -- forked
+:class:`~repro.distributed.scheduler.Scheduler` (pull-of-one: each worker
+request gets one cell), raise the local fleet -- forked
 processes for ``tcp://``, event-loop coroutines for ``inproc://``, either
 babysat so a dead worker costs a retry, not the sweep -- stream the ordered
 outcomes, then tear everything down.  With ``journal=`` (or
@@ -32,7 +31,7 @@ outcomes, then tear everything down.  With ``journal=`` (or
 as they finish and a restarted campaign re-executes only the incomplete
 ones.  After each campaign the scheduler's counters are published on
 :attr:`last_stats` (and accumulated on :attr:`stats`) so callers and the CLI
-can report steals, speculations and retries.
+can report retries, evictions and duplicate results.
 """
 
 from __future__ import annotations
@@ -84,12 +83,6 @@ class DistributedExecutor(Executor):
     stall_timeout:
         Abort the campaign when no worker has been connected for this long
         (``None`` waits forever -- sensible only for interactive use).
-    prefetch / steal / speculate / speculation_delay / max_speculative:
-        Scheduling knobs, forwarded to the :class:`Scheduler`.  Unlike the
-        raw scheduler's conservative pull-of-one default, the executor
-        defaults to ``prefetch=2`` with stealing and speculation enabled:
-        outcomes are keyed by position and each cell carries its own seed,
-        so these change the wall clock, never the rows.
     start_method:
         ``multiprocessing`` start method for self-spawned ``tcp://``
         workers.  ``None`` prefers ``fork`` where available, keeping cell
@@ -115,19 +108,12 @@ class DistributedExecutor(Executor):
         heartbeat_timeout: float = 10.0,
         max_retries: int = 3,
         stall_timeout: Optional[float] = 120.0,
-        prefetch: int = 2,
-        steal: bool = True,
-        speculate: bool = True,
-        speculation_delay: float = 5.0,
-        max_speculative: int = 1,
         start_method: Optional[str] = None,
         telemetry: Union[None, bool, TelemetryBus] = None,
     ) -> None:
         comm_core.validate_address(address)  # fail early, with the friendly message
         if workers < 0:
             raise ValueError("workers must be >= 0")
-        if prefetch < 1:
-            raise ValueError("prefetch must be >= 1")
         self.address = address
         self.scheme = comm_core.split_address(address)[0]
         self.workers = workers
@@ -138,11 +124,6 @@ class DistributedExecutor(Executor):
         self.heartbeat_timeout = heartbeat_timeout
         self.max_retries = max_retries
         self.stall_timeout = stall_timeout
-        self.prefetch = prefetch
-        self.steal = steal
-        self.speculate = speculate
-        self.speculation_delay = speculation_delay
-        self.max_speculative = max_speculative
         self.start_method = start_method
         self.telemetry = telemetry
         #: Counters of the most recently finished campaign, and their
@@ -177,11 +158,6 @@ class DistributedExecutor(Executor):
                 max_retries=self.max_retries,
                 journal=self.journal,
                 stall_timeout=self.stall_timeout,
-                prefetch=self.prefetch,
-                steal=self.steal,
-                speculate=self.speculate,
-                speculation_delay=self.speculation_delay,
-                max_speculative=self.max_speculative,
                 telemetry=self.telemetry,
             )
             scheduler.start()

@@ -23,21 +23,15 @@ op             direction  meaning
 ``welcome``    s -> w     registration ack; carries ``heartbeat_interval``
                           and ``telemetry`` (whether the scheduler wants
                           span capture + forwarding)
-``request``    w -> s     pull work (also refreshes the heartbeat)
-``task``       s -> w     a cell assignment: ``campaign``, ``index``,
-                          ``attempt``, ``cell`` payload, optional ``extra``
-                          prefetched assignments, plus ``fn`` payload the
-                          first time this connection sees the campaign
+``request``    w -> s     pull one cell (also refreshes the heartbeat)
+``task``       s -> w     the reply to a ``request``, one cell assignment:
+                          ``campaign``, ``index``, ``attempt``, ``cell``
+                          payload, plus ``fn`` payload the first time this
+                          connection sees the campaign
 ``idle``       s -> w     no work right now; retry after ``delay`` seconds
 ``result``     w -> s     a finished cell: ``campaign``, ``index``,
                           ``attempt``, ``outcome`` payload (no ack)
 ``heartbeat``  w -> s     I-am-alive while executing a long cell (no ack)
-``revoke``     s -> w     give still-queued assignments ``indices`` of
-                          ``campaign`` back (an idle worker wants to steal)
-``revoked``    w -> s     steal confirmation: ``indices`` were still queued
-                          and dropped, ``kept`` had already started
-``cancel``     s -> w     assignment (``index``, ``attempt``) lost the
-                          speculative race; skip it / don't bother replying
 ``telemetry``  w -> s     batched local telemetry events: ``worker``,
                           ``events`` (list of ``{topic, seq, time,
                           payload}``), ``dropped`` (local overflow count);
@@ -45,6 +39,10 @@ op             direction  meaning
                           the scheduler bus under ``worker.<id>.*`` (no ack)
 ``bye``        w -> s     orderly disconnect
 =============  =========  ==================================================
+
+``index`` and ``attempt`` must be JSON integers (:func:`int_field`) and
+``delay`` a finite non-negative number (:func:`delay_field`); anything else
+is a :class:`ProtocolError`, which drops the connection.
 
 The frame-size guard defaults to 64 MB and is configurable through the
 ``REPRO_MAX_FRAME`` environment variable (bytes); oversized frames are
@@ -204,6 +202,34 @@ def header_size() -> int:
 def unpack_header(header: bytes) -> int:
     (length,) = _HEADER.unpack(header)
     return length
+
+
+def int_field(message: Mapping[str, Any], key: str) -> int:
+    """``message[key]`` as an integer, or :class:`ProtocolError`.
+
+    Only a JSON integer passes: a float would truncate silently (``1.9``
+    naming cell 1) and ``true`` is an ``int`` to Python.
+    """
+
+    value = message.get(key)
+    if type(value) is not int:
+        raise ProtocolError(
+            f"{message.get('op')!r} frame field {key!r} must be an integer, "
+            f"got {reprlib.repr(value)}"
+        )
+    return value
+
+
+def delay_field(message: Mapping[str, Any]) -> float:
+    """``message["delay"]`` as a finite, non-negative number of seconds."""
+
+    value = message.get("delay")
+    if type(value) not in (int, float) or not 0 <= value < float("inf"):
+        raise ProtocolError(
+            f"{message.get('op')!r} frame field 'delay' must be a finite "
+            f"number of seconds >= 0, got {reprlib.repr(value)}"
+        )
+    return float(value)
 
 
 # -- payload encoding --------------------------------------------------------

@@ -10,35 +10,21 @@ not a thousand OS threads.
 
 Scheduling model:
 
-* **pull-based with prefetch leases**: workers request work; the reply
-  carries up to ``prefetch`` assignments, the extras forming the worker's
-  *lease* (a local backlog it executes without further round trips).  The
-  scheduler tracks every lease.
-* **work stealing**: when the global queue is dry, an idle worker's request
-  triggers a steal from the tail of the most-loaded worker's lease.  The
-  steal is two-phase: the victim gets a ``revoke`` push and answers with a
-  ``revoked`` frame naming the cells it *actually* still had queued (it may
-  have started some in the meantime); only those confirmed cells are
-  requeued and handed to idle workers.  Stealing therefore never duplicates
-  an execution -- a cell runs twice only when speculation chooses to.
-* **speculative re-execution**: when queue and leases are all dry but cells
-  are still executing, a straggler cell older than ``speculation_delay`` is
-  duplicated onto the idle worker.  The first result wins; every other
-  live attempt gets a ``cancel`` push and its late result is counted as a
-  duplicate.  Correctness rides on the duplicate-result idempotence the
-  runtime always had: results are keyed by position, and each cell carries
-  its own deterministic seed, so *which* attempt wins cannot change a row.
+* **pull-of-one**: a worker's ``request`` is answered with one ``task``
+  (the oldest pending cell) or an ``idle`` reply; a cell has at most one
+  live attempt at any time.
 * **ordered streaming**: :meth:`run_campaign` yields outcomes in submission
   order (out-of-order completions are buffered), which is what keeps
   distributed rows bit-identical to
-  :class:`~repro.experiments.executors.SerialExecutor` rows under stealing
-  and speculation alike.
-* **fault tolerance**: a dropped connection or a missed-heartbeat eviction
-  requeues the worker's in-flight cells at the *front* of the queue, unless
-  another live (speculative) attempt already covers them; past a bounded
-  per-cell retry budget the cell is failed with a ``WorkerLostError``
-  outcome that the harness surfaces as
-  :class:`~repro.experiments.harness.CellExecutionError`.
+  :class:`~repro.experiments.executors.SerialExecutor` rows.
+* **fault tolerance**: a dropped connection, a missed-heartbeat eviction or
+  a malformed frame requeues the worker's in-flight cells at the *front* of
+  the queue; past a bounded per-cell retry budget the cell is failed with a
+  ``WorkerLostError`` outcome that the harness surfaces as
+  :class:`~repro.experiments.harness.CellExecutionError`.  Results are keyed
+  by position and each cell carries its own deterministic seed, so a result
+  replayed for a cell that is already done is counted as a duplicate and
+  changes nothing.
 * **resumability**: with a
   :class:`~repro.distributed.campaign.CampaignJournal` attached, completed
   cells are appended as they stream in and journaled cells of a restarted
@@ -57,7 +43,7 @@ import time
 import uuid
 from collections import deque
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Set, Union
 
 from repro.distributed import protocol
 from repro.distributed.campaign import CampaignJournal
@@ -101,9 +87,15 @@ class SchedulerStats:
     duplicates: int = 0
     journal_hits: int = 0
     worker_lost_failures: int = 0
-    steals: int = 0
-    speculations: int = 0
-    cancels: int = 0
+
+    @property
+    def steals(self) -> int:
+        """Always 0: the scheduler hands out one cell per request and never
+        steals.  Kept outside :meth:`counters` only because perfbench's
+        ``--trace 1`` layer split still reads it as ``distributed.steals``;
+        drop it together with that metric."""
+
+        return 0
 
     def counters(self) -> Dict[str, int]:
         """The raw monotonic counters, in declaration order."""
@@ -121,10 +113,6 @@ class SchedulerStats:
         delivered = counters["results"]
         attempts = delivered + counters["duplicates"]
         rates: Dict[str, float] = {
-            "steal_fraction": counters["steals"] / delivered if delivered else 0.0,
-            "speculation_fraction": (
-                counters["speculations"] / delivered if delivered else 0.0
-            ),
             "duplicate_fraction": counters["duplicates"] / attempts if attempts else 0.0,
             "retry_fraction": counters["retries"] / delivered if delivered else 0.0,
         }
@@ -143,36 +131,16 @@ class SchedulerStats:
 
 
 @dataclass
-class _Assignment:
-    """One live attempt of one cell on one worker."""
-
-    position: int
-    attempt: int
-    conn: "_WorkerConn"
-    assigned_at: float
-    speculative: bool = False
-    #: A revoke asking for this cell back is in flight; it stays the
-    #: worker's until the worker confirms it never started it.
-    revoking: bool = False
-
-
-@dataclass
 class _WorkerConn:
     """Scheduler-side state of one connected worker."""
 
     worker_id: str
     comm: Comm
     last_seen: float
-    #: Live assignments keyed by position (a worker never holds two
-    #: attempts of the same cell).
-    assignments: Dict[int, _Assignment] = field(default_factory=dict)
-    #: Positions in dispatch order; the head is (probably) executing, the
-    #: tail is the stealable backlog.
-    lease: Deque[int] = field(default_factory=deque)
+    #: Positions of the cells this worker is running.
+    assignments: Set[int] = field(default_factory=set)
     fn_campaign: Optional[str] = None  # campaign the fn payload was sent for
     evicted: bool = False
-    #: Monotonic stamp of the last ``revoke`` push, for steal round-trip spans.
-    revoke_sent_at: Optional[float] = None
     # Aggregated from forwarded ``telemetry`` frames (span payloads); feeds
     # the per-worker occupancy column in :meth:`Scheduler.telemetry_snapshot`.
     busy_seconds: float = 0.0
@@ -196,7 +164,7 @@ class _Campaign:
     results: Dict[int, CellOutcome] = field(default_factory=dict)
     attempts: Dict[int, int] = field(default_factory=dict)      # total assignments
     loss_retries: Dict[int, int] = field(default_factory=dict)  # worker-loss requeues
-    running: Dict[int, List[_Assignment]] = field(default_factory=dict)
+    running: Dict[int, _WorkerConn] = field(default_factory=dict)  # position -> its worker
 
 
 class CampaignStalled(RuntimeError):
@@ -227,24 +195,9 @@ class Scheduler:
     stall_timeout:
         When set, :meth:`run_campaign` raises :class:`CampaignStalled` if
         cells are pending but no worker has been connected for this long.
-    prefetch:
-        Assignments per ``task`` reply (1 = classic pull-of-one; larger
-        values amortise round trips and create the leases stealing feeds on).
-    steal:
-        Let idle workers steal queued-but-unstarted cells from the most
-        loaded worker's lease when the global queue is dry.
-    speculate:
-        Let idle workers run duplicate attempts of straggler cells (older
-        than ``speculation_delay``); first result wins, losers are
-        cancelled.
-    speculation_delay:
-        Minimum age (seconds) of a running attempt before it is considered
-        a straggler worth duplicating.
-    max_speculative:
-        Extra concurrent attempts allowed per cell on top of the primary.
     telemetry:
-        Where scheduling events (worker membership, assignments, steals,
-        speculation, queue depth, stats snapshots) are published: ``None``
+        Where scheduling events (worker membership, assignments, results,
+        queue depth, stats snapshots) are published: ``None``
         (default) uses the process-wide bus from
         :func:`repro.telemetry.get_bus`, a :class:`TelemetryBus` targets
         that bus, ``False`` disables publishing entirely.  Telemetry is
@@ -261,23 +214,12 @@ class Scheduler:
         max_retries: int = 3,
         journal: Union[None, str, CampaignJournal] = None,
         stall_timeout: Optional[float] = None,
-        prefetch: int = 1,
-        steal: bool = True,
-        speculate: bool = True,
-        speculation_delay: float = 5.0,
-        max_speculative: int = 1,
         telemetry: Union[None, bool, TelemetryBus] = None,
     ) -> None:
         if heartbeat_timeout <= heartbeat_interval:
             raise ValueError("heartbeat_timeout must exceed heartbeat_interval")
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if prefetch < 1:
-            raise ValueError("prefetch must be >= 1")
-        if speculation_delay <= 0:
-            raise ValueError("speculation_delay must be > 0")
-        if max_speculative < 0:
-            raise ValueError("max_speculative must be >= 0")
         comm_core.validate_address(address)
         self._requested_address = address
         self.heartbeat_interval = heartbeat_interval
@@ -285,11 +227,6 @@ class Scheduler:
         self.max_retries = max_retries
         self.journal = CampaignJournal.coerce(journal)
         self.stall_timeout = stall_timeout
-        self.prefetch = prefetch
-        self.steal = steal
-        self.speculate = speculate
-        self.speculation_delay = speculation_delay
-        self.max_speculative = max_speculative
         self.stats = SchedulerStats()
         if telemetry is False:
             self._bus: Optional[TelemetryBus] = None
@@ -491,6 +428,10 @@ class Scheduler:
             with self._lock:
                 self._campaign = None
                 done = len(campaign.done)
+                # Positions are per-campaign: an attempt this campaign left
+                # running must not be requeued into the next one.
+                for conn in self._conns.values():
+                    conn.assignments.clear()
                 self._lock.notify_all()
             elapsed = time.monotonic() - started_at
             self._emit(
@@ -581,8 +522,8 @@ class Scheduler:
         """Sample event-loop lag: how late a timed sleep fires.
 
         High lag means frame handling or lock-held sections are starving
-        the loop -- heartbeats and steals degrade before anything visibly
-        breaks, so this is the canary.  Runs only when a bus is attached.
+        the loop -- heartbeats and assignments degrade before anything
+        visibly breaks, so this is the canary.  Runs only when a bus is attached.
         """
 
         interval = self.LAG_PROBE_INTERVAL
@@ -626,7 +567,6 @@ class Scheduler:
                 {
                     "op": "welcome",
                     "heartbeat_interval": self.heartbeat_interval,
-                    "prefetch": self.prefetch,
                     # Advertise span capture + forwarding only when there is
                     # a bus to re-publish on; workers stay zero-cost otherwise.
                     "telemetry": self._bus is not None,
@@ -641,8 +581,6 @@ class Scheduler:
                     await self._handle_request(conn)
                 elif op == "result":
                     await self._handle_result(conn, message)
-                elif op == "revoked":
-                    self._handle_revoked(conn, message)
                 elif op == "telemetry":
                     self._handle_telemetry(conn, message)
                 elif op == "heartbeat":
@@ -652,7 +590,9 @@ class Scheduler:
                 else:
                     raise protocol.ProtocolError(f"unexpected op {op!r} from worker")
         except (CommError, OSError, asyncio.IncompleteReadError):
-            pass  # connection lost: the finally-block requeues in-flight work
+            # Connection lost, or a malformed frame (ProtocolError is a
+            # CommError): the finally-block requeues in-flight work.
+            pass
         finally:
             if conn is not None:
                 self._forget_connection(conn)
@@ -750,9 +690,9 @@ class Scheduler:
     def telemetry_snapshot(self) -> Dict[str, Any]:
         """Live occupancy view served through the bus snapshot registry.
 
-        Queue depth, per-worker occupancy (live assignments, lease backlog,
-        plus busy/idle seconds aggregated from forwarded worker spans) and
-        the current stats payload, all JSON-safe.
+        Queue depth, per-worker occupancy (live assignments plus busy/idle
+        seconds aggregated from forwarded worker spans) and the current
+        stats payload, all JSON-safe.
         """
 
         with self._lock:
@@ -760,7 +700,6 @@ class Scheduler:
             workers = {
                 conn.worker_id: {
                     "assignments": len(conn.assignments),
-                    "lease": len(conn.lease),
                     "evicted": conn.evicted,
                     "last_seen_age": now - conn.last_seen,
                     "busy_seconds": conn.busy_seconds,
@@ -785,261 +724,75 @@ class Scheduler:
             "stats": stats,
         }
 
-    # -- assignment: queue, steal, speculate --------------------------------
+    # -- assignment ---------------------------------------------------------
 
-    def _assign(
-        self, campaign: _Campaign, conn: _WorkerConn, position: int, *, speculative: bool
-    ) -> Dict[str, object]:
-        """Record one attempt and build its wire entry (lock held)."""
+    def _assign(self, campaign: _Campaign, conn: _WorkerConn, position: int) -> Dict[str, object]:
+        """Record the cell's one live attempt and build its ``task`` reply (lock held)."""
 
         attempt = campaign.attempts.get(position, 0) + 1
         campaign.attempts[position] = attempt
-        assignment = _Assignment(
-            position=position,
-            attempt=attempt,
-            conn=conn,
-            assigned_at=time.monotonic(),
-            speculative=speculative,
-        )
-        conn.assignments[position] = assignment
-        conn.lease.append(position)
-        campaign.running.setdefault(position, []).append(assignment)
-        return {
+        conn.assignments.add(position)
+        campaign.running[position] = conn
+        reply: Dict[str, object] = {
+            "op": "task",
+            "campaign": campaign.campaign_id,
             "index": position,
             "attempt": attempt,
             "cell": protocol.encode_payload(campaign.cells[position]),
         }
-
-    def _request_steal(
-        self, campaign: _Campaign, thief: _WorkerConn
-    ) -> Optional[Tuple[_WorkerConn, Dict[str, object]]]:
-        """Ask the most-loaded worker to give its lease tail back (lock held).
-
-        Phase one of a two-phase steal: the cells stay the victim's until
-        its ``revoked`` confirmation arrives (see :meth:`_handle_revoked`),
-        because only the victim knows which of them it has already started.
-        The lease head is never asked for -- it is (probably) executing.
-        Returns the ``revoke`` push for the victim, or ``None`` when nobody
-        has a stealable backlog.
-        """
-
-        def stealable(conn: _WorkerConn) -> List[int]:
-            return [
-                position
-                for position in list(conn.lease)[1:]
-                if not conn.assignments[position].revoking
-            ]
-
-        # Candidate victims come from the live assignments, not the fleet:
-        # with thousands of mostly-idle workers, the scan must be bounded by
-        # outstanding work, not by fleet size.
-        loaded = {
-            id(a.conn): a.conn
-            for attempts in campaign.running.values()
-            for a in attempts
-        }
-        victim, candidates = None, []
-        for candidate in loaded.values():
-            if candidate is thief or candidate.evicted:
-                continue
-            tail = stealable(candidate)
-            if len(tail) > len(candidates):
-                victim, candidates = candidate, tail
-        if victim is None or not candidates:
-            return None
-        count = min(self.prefetch, max(1, (len(candidates) + 1) // 2))
-        wanted = candidates[-count:]
-        for position in wanted:
-            victim.assignments[position].revoking = True
-        victim.revoke_sent_at = time.monotonic()
-        return (
-            victim,
-            {"op": "revoke", "campaign": campaign.campaign_id, "indices": wanted},
-        )
-
-    def _handle_revoked(self, conn: _WorkerConn, message: Dict[str, object]) -> None:
-        """Phase two of a steal: requeue the cells the victim confirmed."""
-
-        stolen: List[int] = []
-        campaign_id = ""
-        round_trip: Optional[float] = None
-        with self._lock:
-            if conn.revoke_sent_at is not None:
-                round_trip = time.monotonic() - conn.revoke_sent_at
-                conn.revoke_sent_at = None
-            removed = [int(i) for i in (message.get("indices") or [])]  # type: ignore[union-attr]
-            kept = [int(i) for i in (message.get("kept") or [])]  # type: ignore[union-attr]
-            for position in kept:
-                assignment = conn.assignments.get(position)
-                if assignment is not None:
-                    assignment.revoking = False  # started after all; still its
-            campaign = self._campaign
-            if campaign is None or campaign.campaign_id != message.get("campaign"):
-                for position in removed:
-                    assignment = conn.assignments.get(position)
-                    if assignment is not None:
-                        assignment.revoking = False
-                return
-            requeue: List[int] = []
-            for position in removed:
-                assignment = conn.assignments.pop(position, None)
-                if assignment is None:
-                    continue
-                try:
-                    conn.lease.remove(position)
-                except ValueError:
-                    pass
-                live = campaign.running.get(position)
-                if live is not None:
-                    live = [a for a in live if a is not assignment]
-                    if live:
-                        campaign.running[position] = live
-                    else:
-                        del campaign.running[position]
-                if (
-                    position not in campaign.done
-                    and position not in campaign.pending
-                    and position not in campaign.running
-                ):
-                    requeue.append(position)
-                    self.stats.steals += 1
-            # Front of the queue, oldest first: stolen cells are older than
-            # anything still pending, and idle workers re-request within
-            # IDLE_DELAY, so they move immediately.
-            for position in reversed(requeue):
-                campaign.pending.appendleft(position)
-            stolen = requeue
-            campaign_id = campaign.campaign_id
-            self._lock.notify_all()
-        if round_trip is not None:
-            # Two-phase steal round trip: revoke pushed -> revoked received.
-            self._emit(
-                TOPIC_SCHEDULER_SPANS, "span", name="scheduler.steal",
-                seconds=round_trip, victim=conn.worker_id, stolen=len(stolen),
-            )
-        if stolen:
-            self._emit(
-                TOPIC_ASSIGNMENTS, "steal", campaign=campaign_id,
-                victim=conn.worker_id, positions=stolen,
-            )
-
-    def _speculative_candidate(
-        self, campaign: _Campaign, conn: _WorkerConn
-    ) -> Optional[int]:
-        """The oldest straggler cell worth duplicating onto ``conn`` (lock held)."""
-
-        if self.max_speculative < 1:
-            return None
-        now = time.monotonic()
-        best: Optional[Tuple[float, int]] = None
-        for position, attempts in campaign.running.items():
-            if position in campaign.done or position in conn.assignments:
-                continue
-            if not attempts or len(attempts) > self.max_speculative:
-                continue
-            oldest = min(a.assigned_at for a in attempts)
-            if now - oldest < self.speculation_delay:
-                continue
-            if best is None or oldest < best[0]:
-                best = (oldest, position)
-        return best[1] if best is not None else None
+        if conn.fn_campaign != campaign.campaign_id:
+            reply["fn"] = campaign.fn_payload
+            conn.fn_campaign = campaign.campaign_id
+        return reply
 
     async def _handle_request(self, conn: _WorkerConn) -> None:
-        pushes: List[Tuple[_WorkerConn, Dict[str, object]]] = []
-        assigned: List[Tuple[int, int, bool]] = []  # (position, attempt, speculative)
-        steal_victim: Optional[str] = None
+        """Answer a ``request`` with the oldest pending cell, or ``idle``."""
+
+        assign_started = time.monotonic()
+        reply: Dict[str, object] = {"op": "idle", "delay": IDLE_DELAY}
         queue_sample: Optional[Dict[str, Any]] = None
-        assign_started = time.monotonic() if self._bus is not None else None
         with self._lock:
             campaign = self._campaign
-            batch: List[Dict[str, object]] = []
             if campaign is not None and not conn.evicted:
-                while len(batch) < self.prefetch and campaign.pending:
+                while campaign.pending:
                     position = campaign.pending.popleft()
-                    if position in campaign.done or position in conn.assignments:
-                        continue
-                    batch.append(self._assign(campaign, conn, position, speculative=False))
-                    assigned.append((position, campaign.attempts[position], False))
-                if not batch and self.steal:
-                    push = self._request_steal(campaign, conn)
-                    if push is not None:
-                        pushes.append(push)
-                        steal_victim = push[0].worker_id
-                if not batch and not pushes and self.speculate:
-                    position = self._speculative_candidate(campaign, conn)
-                    if position is not None:
-                        batch.append(
-                            self._assign(campaign, conn, position, speculative=True)
-                        )
-                        assigned.append((position, campaign.attempts[position], True))
-                        self.stats.speculations += 1
-                if assigned:
-                    queue_sample = self._queue_sample(campaign)
-            if batch:
-                reply = {
-                    "op": "task",
-                    "campaign": campaign.campaign_id,
-                    **batch[0],
-                }
-                if len(batch) > 1:
-                    reply["extra"] = batch[1:]
-                if conn.fn_campaign != campaign.campaign_id:
-                    reply["fn"] = campaign.fn_payload
-                    conn.fn_campaign = campaign.campaign_id
-            else:
-                reply = {"op": "idle", "delay": IDLE_DELAY}
-        if assign_started is not None and assigned:
-            # Lock-held selection latency: how long building this worker's
-            # batch took (queue pops + steal/speculate scans + wire entries).
+                    if position not in campaign.done:
+                        reply = self._assign(campaign, conn, position)
+                        queue_sample = self._queue_sample(campaign)
+                        break
+        if queue_sample is not None:
+            # Lock-held selection latency: the queue pop plus the wire entry.
             self._emit(
                 TOPIC_SCHEDULER_SPANS, "span", name="scheduler.assign",
-                seconds=time.monotonic() - assign_started,
-                worker=conn.worker_id, cells=len(assigned),
+                seconds=time.monotonic() - assign_started, worker=conn.worker_id,
             )
-        for position, attempt, speculative in assigned:
             self._emit(
-                TOPIC_ASSIGNMENTS,
-                "speculate" if speculative else "assign",
-                campaign=campaign.campaign_id, position=position,
-                attempt=attempt, worker=conn.worker_id, speculative=speculative,
+                TOPIC_ASSIGNMENTS, "assign", campaign=reply["campaign"],
+                position=reply["index"], attempt=reply["attempt"],
+                worker=conn.worker_id,
             )
-        if steal_victim is not None:
-            self._emit(
-                TOPIC_ASSIGNMENTS, "steal-requested", campaign=campaign.campaign_id,
-                thief=conn.worker_id, victim=steal_victim,
-            )
-        if queue_sample is not None:
             self._emit(TOPIC_QUEUE, "queue-sample", **queue_sample)
-        for victim, message in pushes:
-            try:
-                await victim.comm.send(message)
-            except (CommError, OSError):
-                pass  # the victim is dying; its cleanup path covers the cells
         await conn.comm.send(reply)
 
     # -- results ------------------------------------------------------------
 
     async def _handle_result(self, conn: _WorkerConn, message: Dict[str, object]) -> None:
+        position = protocol.int_field(message, "index")
         outcome = protocol.decode_payload(str(message.get("outcome")))
-        position = int(message.get("index", -1))  # type: ignore[arg-type]
+        if not isinstance(outcome, CellOutcome):
+            raise protocol.ProtocolError(
+                f"result outcome is a {type(outcome).__name__}, not a CellOutcome"
+            )
         record = None
-        cancels: List[Tuple[_WorkerConn, Dict[str, object]]] = []
-        queue_sample: Optional[Dict[str, Any]] = None
         with self._lock:
             campaign = self._campaign
-            # This connection's bookkeeping for the cell is settled either way.
-            assignment = conn.assignments.pop(position, None)
-            if assignment is not None:
-                try:
-                    conn.lease.remove(position)
-                except ValueError:
-                    pass
-            if (
-                campaign is None
-                or campaign.campaign_id != message.get("campaign")
-                or position in campaign.done
-                or not 0 <= position < len(campaign.cells)
-            ):
+            current = campaign is not None and campaign.campaign_id == message.get("campaign")
+            if current and not 0 <= position < len(campaign.cells):
+                raise protocol.ProtocolError(
+                    f"result index {position} is outside campaign "
+                    f"{campaign.campaign_id} of {len(campaign.cells)} cell(s)"
+                )
+            if not current or position in campaign.done:
                 self.stats.duplicates += 1
                 self._emit(
                     TOPIC_ASSIGNMENTS, "duplicate-result",
@@ -1050,43 +803,18 @@ class Scheduler:
             campaign.done.add(position)
             campaign.results[position] = outcome
             self.stats.results += 1
-            # First result wins: cancel every other live attempt of the cell.
-            for loser in campaign.running.pop(position, []):
-                if loser is assignment:
-                    continue
-                loser.conn.assignments.pop(position, None)
-                try:
-                    loser.conn.lease.remove(position)
-                except ValueError:
-                    pass
-                self.stats.cancels += 1
-                cancels.append(
-                    (
-                        loser.conn,
-                        {
-                            "op": "cancel",
-                            "campaign": campaign.campaign_id,
-                            "index": position,
-                            "attempt": loser.attempt,
-                        },
-                    )
-                )
+            runner = campaign.running.pop(position, None)
+            if runner is not None:
+                runner.assignments.discard(position)
             if self.journal is not None and not outcome.failed:
                 record = (campaign.cells[position], outcome, campaign.version)
             queue_sample = self._queue_sample(campaign)
             self._lock.notify_all()
         self._emit(
             TOPIC_ASSIGNMENTS, "result", campaign=campaign.campaign_id,
-            position=position, worker=conn.worker_id,
-            failed=bool(outcome.failed), cancelled_attempts=len(cancels),
+            position=position, worker=conn.worker_id, failed=bool(outcome.failed),
         )
-        if queue_sample is not None:
-            self._emit(TOPIC_QUEUE, "queue-sample", **queue_sample)
-        for loser_conn, cancel in cancels:
-            try:
-                await loser_conn.comm.send(cancel)
-            except (CommError, OSError):
-                pass
+        self._emit(TOPIC_QUEUE, "queue-sample", **queue_sample)
         if record is not None:
             self.journal.record(*record)
 
@@ -1099,34 +827,13 @@ class Scheduler:
             if self._conns.get(conn.worker_id) is conn:
                 del self._conns[conn.worker_id]
             workers = len(self._conns)
-            lost_before = self.stats.worker_lost_failures
-            positions = list(conn.lease)
-            for position in conn.assignments:
-                if position not in positions:
-                    positions.append(position)
-            conn.lease.clear()
-            conn.assignments.clear()
             campaign = self._campaign
-            if campaign is None or not positions:
-                self._lock.notify_all()
-                self._emit(
-                    TOPIC_WORKERS, "worker-left", worker=conn.worker_id,
-                    workers=workers, requeued=0, failed=0,
-                )
-                return
             requeue: List[int] = []
-            for position in positions:
+            failed = 0
+            for position in sorted(conn.assignments) if campaign is not None else ():
                 if position in campaign.done:
                     continue
-                live = campaign.running.get(position)
-                if live is not None:
-                    live = [a for a in live if a.conn is not conn]
-                    if live:
-                        # A speculative (or stolen) attempt is still running
-                        # elsewhere; the cell stays covered without a retry.
-                        campaign.running[position] = live
-                        continue
-                    del campaign.running[position]
+                campaign.running.pop(position, None)
                 losses = campaign.loss_retries.get(position, 0) + 1
                 campaign.loss_retries[position] = losses
                 if losses > self.max_retries:
@@ -1144,15 +851,16 @@ class Scheduler:
                         error_type=WORKER_LOST,
                     )
                     self.stats.worker_lost_failures += 1
+                    failed += 1
                 else:
                     requeue.append(position)
                     self.stats.retries += 1
-            # Front of the queue, oldest first: a retried cell is the oldest
-            # submission still outstanding, so finishing it first keeps the
-            # ordered result stream moving.
+            conn.assignments.clear()
+            # Front of the queue, lowest position first: a retried cell is the
+            # oldest submission still outstanding, so finishing it first keeps
+            # the ordered result stream moving.
             for position in reversed(requeue):
                 campaign.pending.appendleft(position)
-            failed = self.stats.worker_lost_failures - lost_before
             self._lock.notify_all()
             self._emit(
                 TOPIC_WORKERS, "worker-left", worker=conn.worker_id,

@@ -5,19 +5,13 @@ scheduler (:mod:`repro.distributed.scheduler`):
 
 * connect and ``hello``, read the ``welcome`` (which advertises the
   heartbeat interval);
-* loop: ``request`` work; a ``task`` reply may carry several assignments
-  (the *lease* -- prefetched cells executed locally without further round
-  trips), an ``idle`` reply means sleep briefly and re-request;
-* pushed frames arrive at any time: ``revoke`` asks for lease entries back
-  for an idle worker to steal -- the worker drops the ones still queued and
-  confirms with a ``revoked`` frame (cells it already started stay its own,
-  which is what keeps stealing duplicate-free); ``cancel`` marks an
-  assignment that lost a speculative race (its result is not worth
-  sending);
+* loop: ``request`` one cell; a ``task`` reply is executed and its
+  ``result`` sent before the next request, an ``idle`` reply means sleep
+  briefly and re-request;
 * a heartbeat task keeps ``heartbeat`` frames flowing on the same comm
   while a cell executes (cells run in a thread via ``run_in_executor``, so
-  the event loop -- and with it heartbeats and cancellation -- stays live
-  during long cells);
+  the event loop -- and with it heartbeats -- stays live during long
+  cells);
 * when the ``welcome`` advertises ``telemetry``, the worker times each
   cell's deserialize / execute / serialize phases plus its own idle waits
   with monotonic spans on a private local bus, and a pump task batches
@@ -53,8 +47,7 @@ import os
 import socket
 import time
 import uuid
-from collections import deque
-from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.distributed import protocol
 from repro.distributed.comm import core as comm_core
@@ -118,13 +111,10 @@ class AsyncWorker:
         #: executor hop but blocks the loop for the cell's duration.
         self.inline = inline
         self.cells_executed = 0
-        self.cells_cancelled = 0
-        self.cells_revoked = 0
         self.events_forwarded = 0
         self._last_useful = time.monotonic()
         # Per-connection state (reset by _serve).
-        self._backlog: Deque[Dict[str, Any]] = deque()
-        self._cancelled: Set[Tuple[str, int, int]] = set()
+        self._task: Optional[Dict[str, Any]] = None  # received, not yet started
         self._fn: Tuple[Optional[str], Optional[Callable[[Cell], CellOutcome]]] = (None, None)
         self._idle_delay: Optional[float] = None
         self._wake: Optional[asyncio.Event] = None
@@ -166,8 +156,7 @@ class AsyncWorker:
     # -- one connection -----------------------------------------------------
 
     async def _serve(self, comm: Comm) -> None:
-        self._backlog = deque()
-        self._cancelled = set()
+        self._task = None
         self._fn = (None, None)
         self._idle_delay = None
         self._wake = asyncio.Event()
@@ -205,8 +194,9 @@ class AsyncWorker:
         tasks = tuple(task for task in (reader, beat, pump) if task is not None)
         try:
             while True:
-                if self._backlog:
-                    await self._execute(comm, self._backlog.popleft())
+                if self._task is not None:
+                    item, self._task = self._task, None
+                    await self._execute(comm, item)
                     continue
                 idle_started = time.monotonic() if self._spans.enabled else None
                 pulled = await self._pull(comm, reader)
@@ -224,13 +214,13 @@ class AsyncWorker:
                     pass
 
     async def _pull(self, comm: Comm, reader: "asyncio.Task") -> bool:
-        """Request work until the backlog is non-empty; False = disconnect."""
+        """Request work until a task arrives; False = disconnect."""
 
         assert self._wake is not None
-        while not self._backlog:
+        while self._task is None:
             self._raise_if_dead(reader)
             self._wake.clear()
-            if self._backlog:  # arrived between the check and the clear
+            if self._task is not None:  # arrived between the check and the clear
                 return True
             await comm.send({"op": "request"})
             try:
@@ -241,7 +231,7 @@ class AsyncWorker:
                     f"within {self.reply_timeout:.0f}s"
                 ) from None
             self._raise_if_dead(reader)
-            if self._backlog:
+            if self._task is not None:
                 return True
             if self._idle_delay is not None:
                 delay, self._idle_delay = self._idle_delay, None
@@ -260,7 +250,7 @@ class AsyncWorker:
             raise protocol.ConnectionClosed("scheduler connection reader exited")
 
     async def _reader(self, comm: Comm) -> None:
-        """Dispatch every inbound frame: replies and pushes alike."""
+        """Dispatch every inbound frame: ``task`` and ``idle`` replies."""
 
         assert self._wake is not None
         while True:
@@ -270,52 +260,16 @@ class AsyncWorker:
                 campaign = str(message.get("campaign"))
                 if "fn" in message:
                     self._fn = (campaign, protocol.decode_payload(str(message["fn"])))
-                entries = [message] + list(message.get("extra") or [])
-                for entry in entries:
-                    self._backlog.append(
-                        {
-                            "campaign": campaign,
-                            "index": int(entry.get("index", -1)),
-                            "attempt": int(entry.get("attempt", 0)),
-                            "cell": entry.get("cell"),
-                        }
-                    )
+                self._task = {
+                    "campaign": campaign,
+                    "index": protocol.int_field(message, "index"),
+                    "attempt": protocol.int_field(message, "attempt"),
+                    "cell": message.get("cell"),
+                }
                 self._wake.set()
             elif op == "idle":
-                self._idle_delay = float(message.get("delay", 0.05))
+                self._idle_delay = protocol.delay_field(message)
                 self._wake.set()
-            elif op == "revoke":
-                campaign = str(message.get("campaign"))
-                requested = [int(index) for index in (message.get("indices") or [])]
-                drop = set(requested)
-                removed: Set[int] = set()
-                kept_backlog: Deque[Dict[str, Any]] = deque()
-                for entry in self._backlog:
-                    if entry["campaign"] == campaign and entry["index"] in drop:
-                        removed.add(entry["index"])
-                    else:
-                        kept_backlog.append(entry)
-                self._backlog = kept_backlog
-                self.cells_revoked += len(removed)
-                # Confirm what was actually still queued; anything already
-                # started (or finished) stays this worker's.
-                await comm.send(
-                    {
-                        "op": "revoked",
-                        "worker": self.worker_id,
-                        "campaign": campaign,
-                        "indices": sorted(removed),
-                        "kept": [i for i in requested if i not in removed],
-                    }
-                )
-            elif op == "cancel":
-                self._cancelled.add(
-                    (
-                        str(message.get("campaign")),
-                        int(message.get("index", -1)),
-                        int(message.get("attempt", 0)),
-                    )
-                )
             else:
                 raise protocol.ProtocolError(f"unexpected op {op!r} from scheduler")
 
@@ -374,11 +328,6 @@ class AsyncWorker:
 
     async def _execute(self, comm: Comm, item: Dict[str, Any]) -> None:
         campaign = item["campaign"]
-        key = (campaign, item["index"], item["attempt"])
-        if key in self._cancelled:
-            self._cancelled.discard(key)
-            self.cells_cancelled += 1
-            return
         spans = self._spans
         with spans.span("cell.deserialize", campaign=campaign, index=item["index"]):
             cell: Cell = protocol.decode_payload(str(item["cell"]))
@@ -396,12 +345,6 @@ class AsyncWorker:
                 )
         self.cells_executed += 1
         self._mark_useful()
-        if key in self._cancelled:
-            # The speculative race was lost while the cell executed; the
-            # result is settled elsewhere and not worth a frame.
-            self._cancelled.discard(key)
-            self.cells_cancelled += 1
-            return
         with spans.span("cell.serialize", campaign=campaign, index=item["index"]):
             encoded = protocol.encode_payload(outcome)
         # Telemetry first: the frames are ordered, so this cell's spans are

@@ -22,7 +22,7 @@ TOPIC_SWEEP = "sweep"
 TOPIC_SCHEDULER = "scheduler"
 #: Worker membership: worker-joined / worker-evicted / worker-left.
 TOPIC_WORKERS = "scheduler.workers"
-#: Cell assignments, steals and speculative duplicates.
+#: Cell assignments, results and duplicate results.
 TOPIC_ASSIGNMENTS = "scheduler.assignments"
 #: Compact queue-depth samples (pending/running/done) for timelines.
 TOPIC_QUEUE = "scheduler.queue"
@@ -35,7 +35,7 @@ TOPIC_RUNTIME = "runtime"
 #: Monotonic-clock span / counter / histogram samples from the sweep harness
 #: and (locally, before forwarding) from distributed workers.
 TOPIC_SPANS = "spans"
-#: Scheduler event-loop spans: assign latency, steal round-trips, loop lag.
+#: Scheduler event-loop spans: assign latency and loop lag.
 TOPIC_SCHEDULER_SPANS = "scheduler.spans"
 
 #: Prefix under which the scheduler re-publishes events forwarded by a

@@ -183,8 +183,5 @@ class TestScenarioDigests:
             executor = fast_executor(workers=2)
         else:
             executor = DistributedExecutor("inproc://", workers=4, stall_timeout=30.0)
-        # Stealing and speculation are the executor's defaults -- the digest
-        # must not depend on which attempt of a cell wins.
-        assert executor.steal and executor.speculate
         distributed = run_scenario(spec, smoke=True, executor=executor)
         assert rows_digest(distributed.rows) == rows_digest(serial.rows)

@@ -1,31 +1,19 @@
-"""Work stealing, speculation, and the 1000-worker in-process fleet.
+"""The 1000-worker in-process fleet.
 
 The ``inproc://`` backend exists so scheduler behaviour at fleet scale is
 testable in one process: a thousand workers are a thousand coroutines on
 the scheduler's own event loop, no sockets or forks.  The contracts:
 
-* a 1000-worker fleet drains a multi-thousand-cell campaign with stealing
-  and speculation enabled, yields rows bit-identical to serial execution
-  in submission order, journals them, and evicts **nobody** (heartbeat
-  liveness under full load);
+* a 1000-worker fleet drains a multi-thousand-cell campaign, yields rows
+  bit-identical to serial execution in submission order, journals them,
+  and evicts **nobody** (heartbeat liveness under full load);
 * a journal-resumed campaign on a fresh fleet re-executes only the
-  incomplete cells;
-* stealing is two-phase and therefore duplicate-free: cells move only
-  after the victim confirms it never started them (white-box tests pin the
-  victim selection, tail-only policy, and confirmation bookkeeping);
-* speculation duplicates a straggler onto an idle worker, the first result
-  wins, and the duplicate is what rescues the campaign's tail latency.
+  incomplete cells.
 """
 
 from __future__ import annotations
 
-import os
-import time
-
-import pytest
-
-from repro.distributed import DistributedExecutor, Scheduler
-from repro.distributed.scheduler import _Campaign, _WorkerConn
+from repro.distributed import Scheduler
 from repro.experiments.grid import CellFunction, expand_grid
 
 
@@ -33,21 +21,6 @@ def fleet_metrics(seed, i):
     # Cheap, deterministic, seed-sensitive: enough to catch any ordering
     # or attribution mistake in the scheduler.
     return {"value": (seed * 31 + i * 7) % 9973, "i": i}
-
-
-def straggler_metrics(seed, i, marker=""):
-    # The first execution of cell i==5 is a straggler; any re-execution of
-    # it (the speculative attempt) is fast.  Metrics are identical either
-    # way -- which attempt wins must not matter.
-    if i == 5 and marker:
-        try:
-            flag = open(marker, "x")
-        except FileExistsError:
-            pass
-        else:
-            flag.close()
-            time.sleep(2.5)
-    return {"i": i, "value": seed % 1009}
 
 
 class TestThousandWorkerFleet:
@@ -59,9 +32,6 @@ class TestThousandWorkerFleet:
 
         with Scheduler(
             "inproc://",
-            prefetch=2,
-            steal=True,
-            speculate=True,
             journal=str(journal),
             stall_timeout=60.0,
         ) as scheduler:
@@ -106,144 +76,3 @@ class TestThousandWorkerFleet:
         assert stats.journal_hits == 450
         assert stats.results == 150
         assert stats.evictions == 0
-
-
-class TestWorkStealingTwoPhase:
-    """White-box: victim selection, tail-only policy, confirmation."""
-
-    @staticmethod
-    def scheduler_with_campaign(cells, **kwargs):
-        defaults = dict(prefetch=4, steal=True, speculate=False)
-        defaults.update(kwargs)
-        scheduler = Scheduler("inproc://steal-test", **defaults)
-        campaign = _Campaign(
-            campaign_id="c1", cells=cells, fn_payload="", version="v"
-        )
-        scheduler._campaign = campaign
-        return scheduler, campaign
-
-    def test_steal_asks_for_the_lease_tail_never_the_head(self):
-        cells = expand_grid({"i": [0, 1, 2, 3]}, repetitions=1, base_seed=7)
-        scheduler, campaign = self.scheduler_with_campaign(cells)
-        victim = _WorkerConn(worker_id="victim", comm=None, last_seen=0.0)
-        thief = _WorkerConn(worker_id="thief", comm=None, last_seen=0.0)
-        for position in range(4):
-            scheduler._assign(campaign, victim, position, speculative=False)
-
-        target, message = scheduler._request_steal(campaign, thief)
-        assert target is victim
-        assert message["op"] == "revoke"
-        # Half the stealable tail ([1, 2, 3]), taken from the end; the
-        # (probably executing) head 0 is untouchable.
-        assert message["indices"] == [2, 3]
-        assert victim.assignments[2].revoking and victim.assignments[3].revoking
-        # The cells are still the victim's until it confirms.
-        assert list(victim.lease) == [0, 1, 2, 3]
-        assert scheduler.stats.steals == 0
-
-    def test_confirmed_cells_are_requeued_and_counted(self):
-        cells = expand_grid({"i": [0, 1, 2, 3]}, repetitions=1, base_seed=7)
-        scheduler, campaign = self.scheduler_with_campaign(cells)
-        victim = _WorkerConn(worker_id="victim", comm=None, last_seen=0.0)
-        thief = _WorkerConn(worker_id="thief", comm=None, last_seen=0.0)
-        for position in range(4):
-            scheduler._assign(campaign, victim, position, speculative=False)
-        _, message = scheduler._request_steal(campaign, thief)
-
-        scheduler._handle_revoked(
-            victim,
-            {"op": "revoked", "campaign": "c1", "indices": message["indices"], "kept": []},
-        )
-        assert list(campaign.pending) == [2, 3]  # oldest first, at the front
-        assert list(victim.lease) == [0, 1]
-        assert 2 not in campaign.running and 3 not in campaign.running
-        assert scheduler.stats.steals == 2
-
-    def test_cells_the_victim_already_started_stay_its_own(self):
-        cells = expand_grid({"i": [0, 1, 2, 3]}, repetitions=1, base_seed=7)
-        scheduler, campaign = self.scheduler_with_campaign(cells)
-        victim = _WorkerConn(worker_id="victim", comm=None, last_seen=0.0)
-        thief = _WorkerConn(worker_id="thief", comm=None, last_seen=0.0)
-        for position in range(4):
-            scheduler._assign(campaign, victim, position, speculative=False)
-        scheduler._request_steal(campaign, thief)
-
-        # The victim raced ahead: by the time the revoke arrived it had
-        # started 2, so it only gives 3 back.
-        scheduler._handle_revoked(
-            victim, {"op": "revoked", "campaign": "c1", "indices": [3], "kept": [2]}
-        )
-        assert list(campaign.pending) == [3]
-        assert 2 in victim.assignments and not victim.assignments[2].revoking
-        assert scheduler.stats.steals == 1
-
-    def test_in_flight_revokes_are_not_stolen_twice(self):
-        cells = expand_grid({"i": [0, 1, 2, 3, 4, 5]}, repetitions=1, base_seed=7)
-        scheduler, campaign = self.scheduler_with_campaign(cells)
-        victim = _WorkerConn(worker_id="victim", comm=None, last_seen=0.0)
-        for position in range(6):
-            scheduler._assign(campaign, victim, position, speculative=False)
-        thief_a = _WorkerConn(worker_id="a", comm=None, last_seen=0.0)
-        thief_b = _WorkerConn(worker_id="b", comm=None, last_seen=0.0)
-
-        _, first = scheduler._request_steal(campaign, thief_a)
-        _, second = scheduler._request_steal(campaign, thief_b)
-        assert not set(first["indices"]) & set(second["indices"])
-
-    def test_nothing_stealable_when_leases_hold_a_single_cell(self):
-        cells = expand_grid({"i": [0, 1]}, repetitions=1, base_seed=7)
-        scheduler, campaign = self.scheduler_with_campaign(cells)
-        busy_a = _WorkerConn(worker_id="a", comm=None, last_seen=0.0)
-        busy_b = _WorkerConn(worker_id="b", comm=None, last_seen=0.0)
-        scheduler._assign(campaign, busy_a, 0, speculative=False)
-        scheduler._assign(campaign, busy_b, 1, speculative=False)
-        thief = _WorkerConn(worker_id="t", comm=None, last_seen=0.0)
-        assert scheduler._request_steal(campaign, thief) is None
-
-
-class TestSpeculation:
-    def test_straggler_selection_respects_delay_and_attempt_cap(self):
-        cells = expand_grid({"i": [0, 1]}, repetitions=1, base_seed=7)
-        scheduler, campaign = TestWorkStealingTwoPhase.scheduler_with_campaign(
-            cells, speculate=True, speculation_delay=0.5, prefetch=1
-        )
-        busy = _WorkerConn(worker_id="busy", comm=None, last_seen=0.0)
-        idle = _WorkerConn(worker_id="idle", comm=None, last_seen=0.0)
-        scheduler._assign(campaign, busy, 0, speculative=False)
-
-        # Too young to be a straggler.
-        assert scheduler._speculative_candidate(campaign, idle) is None
-        campaign.running[0][0].assigned_at -= 1.0
-        assert scheduler._speculative_candidate(campaign, idle) == 0
-        # Never a second attempt on the worker already running it.
-        assert scheduler._speculative_candidate(campaign, busy) is None
-        # max_speculative=1 caps the cell at two live attempts total.
-        scheduler._assign(campaign, idle, 0, speculative=True)
-        third = _WorkerConn(worker_id="third", comm=None, last_seen=0.0)
-        assert scheduler._speculative_candidate(campaign, third) is None
-
-    def test_speculative_duplicate_rescues_a_straggler_end_to_end(self, tmp_path):
-        marker = tmp_path / "straggler-started"
-        import functools
-
-        fn = functools.partial(straggler_metrics, marker=str(marker))
-        cells = expand_grid({"i": list(range(8))}, repetitions=1, base_seed=11)
-        executor = DistributedExecutor(
-            "inproc://",
-            workers=2,
-            speculation_delay=0.3,
-            stall_timeout=30.0,
-        )
-        started = time.monotonic()
-        stream = executor.map(CellFunction(fn), cells)
-        outcomes = [next(stream) for _ in range(len(cells))]
-        streamed_in = time.monotonic() - started
-        list(stream)  # run the generator's teardown
-
-        assert [o.metrics["i"] for o in outcomes] == list(range(8))
-        assert all(o.error is None for o in outcomes)
-        # The straggler's first attempt sleeps 2.5s; the full ordered stream
-        # arriving well before that proves the speculative duplicate won.
-        assert streamed_in < 2.0, f"speculation did not rescue the straggler ({streamed_in:.1f}s)"
-        assert executor.last_stats.speculations >= 1
-        assert os.path.exists(marker)

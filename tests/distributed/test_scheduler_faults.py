@@ -5,11 +5,15 @@ heartbeating without closing its socket -- is indistinguishable from a hung
 host; only the heartbeat timeout can reclaim its cell.  These tests pin the
 eviction, requeue and retry-budget bookkeeping at the scheduler level,
 complementing the end-to-end SIGKILL test (where the kernel closes the
-socket and the scheduler notices immediately).
+socket and the scheduler notices immediately).  A *hostile* peer -- a
+worker or scheduler sending malformed frames -- must cost a dropped
+connection and a retry, never a corrupted row or a wedged campaign.
 """
 
 from __future__ import annotations
 
+import asyncio
+import logging
 import socket
 import threading
 import time
@@ -48,7 +52,9 @@ class FakeWorker:
             time.sleep(0.02)
         raise AssertionError("fake worker never received a task")
 
-    def finish(self, task):
+    def finish(self, task, **overrides):
+        """Send the task's result frame, with ``overrides`` patched in."""
+
         cell = protocol.decode_payload(task["cell"])
         outcome = CellFunction(plain_cell)(cell)
         self.wire.send(self.sock, {
@@ -57,7 +63,17 @@ class FakeWorker:
             "campaign": task["campaign"],
             "index": task["index"],
             "outcome": protocol.encode_payload(outcome),
+            **overrides,
         })
+
+    def assert_dropped(self, timeout=5.0):
+        """The scheduler closed this connection (EOF or reset)."""
+
+        self.sock.settimeout(timeout)
+        try:
+            assert self.sock.recv(1) == b""
+        except ConnectionError:
+            pass
 
     def close(self):
         try:
@@ -111,11 +127,7 @@ class TestHeartbeatEviction:
             assert scheduler.stats.evictions == 1
             assert scheduler.stats.retries == 1
             # The evicted socket was closed by the scheduler (EOF or reset).
-            silent.sock.settimeout(2.0)
-            try:
-                assert silent.sock.recv(1) == b""
-            except ConnectionError:
-                pass
+            silent.assert_dropped(timeout=2.0)
         finally:
             for worker in (silent, honest):
                 if worker is not None:
@@ -181,6 +193,194 @@ class TestDuplicateAndLateResults:
                 worker.close()
             scheduler.close()
             consumer.join(timeout=5.0)
+
+
+class TestCampaignBoundary:
+    def test_cells_left_running_by_one_campaign_never_leak_into_the_next(
+        self, wire, caplog
+    ):
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        scheduler = Scheduler(heartbeat_interval=0.1, heartbeat_timeout=60.0).start()
+        first_cells = expand_grid({"x": list(range(6))}, repetitions=1)
+        second_cells = expand_grid({"x": [10, 20]}, repetitions=1)
+        first_rows = []
+
+        def read_one_row_then_stop():
+            stream = scheduler.run_campaign(CellFunction(plain_cell), first_cells)
+            first_rows.append(next(stream))
+            stream.close()
+
+        abandoning = threading.Thread(target=read_one_row_then_stop)
+        abandoning.start()
+        results, errors = [], []
+        consumer = threading.Thread(
+            target=collect_campaign, args=(scheduler, second_cells, results, errors)
+        )
+        holder = honest = None
+        try:
+            # The holder takes cells 0-3 and returns only cell 0, so the
+            # first campaign ends with positions 1-3 still on the holder.
+            holder = FakeWorker(wire, scheduler.address, "holder")
+            tasks = [holder.take_cell() for _ in range(4)]
+            assert [task["index"] for task in tasks] == [0, 1, 2, 3]
+            holder.finish(tasks[0])
+            abandoning.join(timeout=10.0)
+            assert not abandoning.is_alive() and len(first_rows) == 1
+
+            # The holder dies during the second, 2-cell campaign: positions
+            # 1-3 of the first campaign must not be requeued into it.
+            consumer.start()
+            holder.close()
+            deadline = time.monotonic() + 10.0
+            while scheduler.worker_count and time.monotonic() < deadline:
+                time.sleep(0.02)
+            honest = FakeWorker(wire, scheduler.address, "honest")
+            for _ in second_cells:
+                honest.finish(honest.take_cell())
+            consumer.join(timeout=10.0)
+            assert not consumer.is_alive() and not errors
+            assert [outcome.metrics for outcome in results] == [
+                CellFunction(plain_cell)(cell).metrics for cell in second_cells
+            ]
+            assert scheduler.stats.retries == 0
+        finally:
+            for worker in (holder, honest):
+                if worker is not None:
+                    worker.close()
+            scheduler.close()
+            abandoning.join(timeout=5.0)
+            if consumer.is_alive():
+                consumer.join(timeout=5.0)
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
+
+
+class TestHostileWorkerFrames:
+    """A malformed frame drops the connection; its cell is retried elsewhere."""
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            # A float index used to be truncated: cell 0's outcome landed at
+            # position 1 and cell 0 stayed "running" forever.
+            {"op": "result", "index": 1.9},
+            # A string index used to escape as an untyped ValueError.
+            {"op": "result", "index": "not-an-int"},
+            {"op": "result", "index": True},
+            {"op": "result", "index": 2},
+            {"op": "result", "index": -1},
+            {"op": "result", "index": None},
+            # An outcome payload that is not a CellOutcome.
+            {"op": "result", "outcome": protocol.encode_payload(42)},
+            # Work stealing is gone: its confirmation frame is an unknown op.
+            {"op": "revoked", "indices": [0], "kept": []},
+        ],
+        ids=["float", "string", "bool", "past-end", "negative", "missing", "not-an-outcome",
+             "revoked"],
+    )
+    def test_bad_frame_costs_a_retry_not_the_campaign(self, wire, caplog, frame):
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        cells = expand_grid({"x": [1, 2]}, repetitions=1)
+        # A heartbeat timeout far beyond the test's waits: only the bad
+        # frame itself may release the hostile worker's cell.
+        scheduler = Scheduler(heartbeat_interval=0.1, heartbeat_timeout=60.0).start()
+        results, errors = [], []
+        consumer = threading.Thread(
+            target=collect_campaign, args=(scheduler, cells, results, errors)
+        )
+        consumer.start()
+        hostile = honest = None
+        try:
+            hostile = FakeWorker(wire, scheduler.address, "hostile")
+            task = hostile.take_cell()
+            assert task["index"] == 0
+            if frame["op"] == "result":
+                hostile.finish(task, **frame)
+            else:
+                wire.send(hostile.sock, {**frame, "campaign": task["campaign"]})
+            hostile.assert_dropped()
+
+            # An honest worker drains the campaign, the requeued cell included.
+            honest = FakeWorker(wire, scheduler.address, "honest")
+            for _ in cells:
+                honest.finish(honest.take_cell())
+            consumer.join(timeout=10.0)
+            assert not consumer.is_alive() and not errors
+            assert [outcome.metrics for outcome in results] == [
+                CellFunction(plain_cell)(cell).metrics for cell in cells
+            ]
+            assert scheduler.stats.retries == 1
+            assert scheduler.stats.results == len(cells)
+        finally:
+            for worker in (hostile, honest):
+                if worker is not None:
+                    worker.close()
+            scheduler.close()
+            consumer.join(timeout=5.0)
+        # The frame took the ordinary connection-loss path: nothing escaped
+        # to the event loop's unhandled-exception log.
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
+
+
+class TestHostileSchedulerFrames:
+    """The worker drops a connection that sends a malformed or retired frame."""
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            {"op": "task", "index": 1.9},
+            {"op": "task", "index": "0"},
+            {"op": "task", "attempt": True},
+            {"op": "idle", "delay": "soon"},
+            {"op": "idle", "delay": float("nan")},
+            {"op": "idle", "delay": -1},
+            {"op": "revoke", "campaign": "c1", "indices": [0]},
+            {"op": "cancel", "campaign": "c1", "index": 0, "attempt": 1},
+        ],
+        ids=["float-index", "string-index", "bool-attempt", "string-delay",
+             "nan-delay", "negative-delay", "revoke", "cancel"],
+    )
+    def test_bad_frame_drops_the_connection_without_executing(self, frame):
+        from repro.distributed.comm import core as comm_core
+        from repro.distributed.comm.core import CommError
+        from repro.distributed.worker import AsyncWorker
+
+        (cell,) = expand_grid({"x": [1]}, repetitions=1)
+        if frame["op"] == "task":
+            frame = {
+                "campaign": "c1", "index": 0, "attempt": 1,
+                "cell": protocol.encode_payload(cell),
+                "fn": protocol.encode_payload(CellFunction(plain_cell)),
+                **frame,
+            }
+
+        async def scenario():
+            ops = []
+            closed = asyncio.Event()
+
+            async def fake_scheduler(comm):
+                try:
+                    assert (await comm.recv())["op"] == "hello"
+                    await comm.send({"op": "welcome", "heartbeat_interval": 0.2})
+                    assert (await comm.recv())["op"] == "request"
+                    await comm.send(frame)
+                    while True:
+                        ops.append((await comm.recv())["op"])
+                except CommError:
+                    closed.set()
+
+            lst = comm_core.listener("inproc://", fake_scheduler)
+            await lst.start()
+            worker = AsyncWorker(lst.address, once=True, reply_timeout=5.0)
+            try:
+                executed = await asyncio.wait_for(worker.run(), timeout=5.0)
+                await asyncio.wait_for(closed.wait(), timeout=5.0)
+            finally:
+                await lst.stop()
+            return executed, ops
+
+        executed, ops = asyncio.run(scenario())
+        assert executed == 0
+        assert set(ops) <= {"heartbeat"}
 
 
 class TestStallGuard:

@@ -33,14 +33,11 @@ def seeded_value(seed: int, k: int) -> dict:
 
 class TestStatsPayload:
     def test_payload_is_versioned_with_counters_and_rates(self):
-        stats = SchedulerStats(results=10, steals=2, speculations=1,
-                               duplicates=2, retries=5)
+        stats = SchedulerStats(results=10, duplicates=2, retries=5)
         body = stats.to_payload()
         assert body["schema_version"] == SCHEMA_VERSION
         assert body["kind"] == "scheduler-stats"
         assert body["counters"]["results"] == 10
-        assert body["rates"]["steal_fraction"] == pytest.approx(0.2)
-        assert body["rates"]["speculation_fraction"] == pytest.approx(0.1)
         assert body["rates"]["duplicate_fraction"] == pytest.approx(2 / 12)
         assert body["rates"]["retry_fraction"] == pytest.approx(0.5)
         assert "results_per_second" not in body["rates"]
@@ -83,7 +80,7 @@ class TestCampaignEventStream:
         assert len(results) == 6
         assert all(e.payload["failed"] is False for e in results)
         assigns = [e for e in bus.events(TOPIC_ASSIGNMENTS)
-                   if e.payload["kind"] in ("assign", "speculate")]
+                   if e.payload["kind"] == "assign"]
         assert len(assigns) >= 6
 
         samples = bus.events(TOPIC_QUEUE)
