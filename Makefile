@@ -4,7 +4,6 @@
 #   make test                  tier-1 unit suite (tests/)
 #   make bench                 paper-figure benchmarks (benchmarks/)
 #   make bench JOBS=4          ... fanned out to 4 worker processes
-#   make bench CACHE=.repro-cache   ... with the on-disk cell cache
 #   make perf                  perfbench on all four workloads (offline,
 #                              online, grid, campaign); one metrics block each
 #   make runtime-check         golden-digest equivalence (mirrors the CI
@@ -19,6 +18,10 @@
 #                              (coroutine fleet, no sockets or forks)
 #   make distributed-stress    load smoke: the smoke tier on a 32-worker
 #                              inproc fleet (heartbeats + ordered streaming)
+#   make resume-smoke          run the smoke tier twice on one journal: the
+#                              second run must replay every journaled cell
+#                              with unchanged digests (mirrors the CI
+#                              distributed-smoke inproc leg)
 #   make store-smoke           serial + inproc campaigns into one columnar
 #                              store, then compare + validate (mirrors the
 #                              CI store-smoke job; JSONL parts without
@@ -37,11 +40,10 @@
 
 PYTHON ?= python
 JOBS ?=
-CACHE ?=
 
-BENCH_ENV = $(if $(JOBS),REPRO_JOBS=$(JOBS)) $(if $(CACHE),REPRO_CACHE_DIR=$(CACHE))
+BENCH_ENV = $(if $(JOBS),REPRO_JOBS=$(JOBS))
 
-.PHONY: test bench perf scenarios scenario-smoke distributed-smoke distributed-smoke-inproc distributed-stress store-smoke dashboard-smoke telemetry-smoke lint ci clean runtime-check runtime-goldens
+.PHONY: test bench perf scenarios scenario-smoke distributed-smoke distributed-smoke-inproc distributed-stress resume-smoke store-smoke dashboard-smoke telemetry-smoke lint ci clean runtime-check runtime-goldens
 
 # Port the distributed smoke tier binds its campaign schedulers on.
 DIST_PORT ?= 7641
@@ -108,6 +110,36 @@ distributed-stress:
 	PYTHONPATH=src $(PYTHON) -m repro.distributed run --all --smoke \
 		--comm inproc --workers 32
 
+# Resume leg: the smoke tier runs twice on a 4-worker inproc fleet against
+# one journal.  Run 2 must report every line run 1 journaled as a cached
+# cell (none may execute again) and print the same per-scenario digests.
+# Mirrors the resume step of the CI distributed-smoke inproc leg.
+RESUME_DIR ?= .resume-smoke
+
+resume-smoke:
+	rm -rf $(RESUME_DIR)
+	for run in 1 2; do \
+		PYTHONPATH=src $(PYTHON) -m repro.distributed run --all --smoke \
+			--comm inproc --workers 4 --journal $(RESUME_DIR)/journal.jsonl \
+			--output $(RESUME_DIR)/run$$run.json || exit $$?; \
+		[ $$run = 1 ] && wc -l < $(RESUME_DIR)/journal.jsonl > $(RESUME_DIR)/journaled; \
+	done; \
+	$(PYTHON) -c "$$RESUME_CHECK" $(RESUME_DIR)
+
+# Compares run1.json / run2.json of the resume leg (argv[1] = its directory).
+define RESUME_CHECK
+import json, sys
+root = sys.argv[1]
+runs = [json.load(open(f"{root}/run{n}.json"))["scenarios"] for n in (1, 2)]
+digests = [{s["name"]: s.get("digest") for s in run} for run in runs]
+journaled = int(open(f"{root}/journaled").read())
+cached = sum(s.get("cache_hits", 0) for s in runs[1])
+print(f"resume: {cached} cell(s) replayed of {journaled} journaled; "
+      f"digests {'equal' if digests[0] == digests[1] else 'DIFFER'}")
+sys.exit(0 if journaled and cached == journaled and digests[0] == digests[1] else 1)
+endef
+export RESUME_CHECK
+
 # Land the same smoke campaigns twice -- once serial, once over inproc://
 # comms -- in ONE columnar store, then prove the two campaigns are
 # cell-for-cell identical with the compare query and re-check the paper's
@@ -160,6 +192,6 @@ ci:
 	$(MAKE) scenario-smoke
 
 clean:
-	rm -rf .pytest_cache .benchmarks .repro-cache .store-smoke
+	rm -rf .pytest_cache .benchmarks .store-smoke .resume-smoke
 	find . -name __pycache__ -type d -exec rm -rf {} +
 	find . -name "*.py[co]" -delete

@@ -9,8 +9,8 @@ new workload lands in the repository):
 2. register it, which validates the structure and makes it visible to the
    CLI, the CI smoke job and the bench bridge;
 3. run it through :func:`run_scenario`: the sweep inherits the parallel
-   executors (``REPRO_JOBS``), the on-disk cell cache (``REPRO_CACHE_DIR``)
-   and deterministic seeding from the experiment harness.
+   executors (``REPRO_JOBS``), journal resume (``journal=``) and
+   deterministic seeding from the experiment harness.
 
 Run with:  python examples/custom_scenario.py
 """

@@ -17,8 +17,9 @@ so a cell has at most one live attempt.  Fault tolerance is retry-based
 (dead or evicted workers' in-flight cells are requeued under a bounded
 budget); results are keyed by position and every cell carries its own
 deterministic seed, so a retry or a replayed result changes the wall clock,
-never the rows.  Campaigns are resumable through an append-only JSONL journal
-(:class:`~repro.distributed.campaign.CampaignJournal`).
+never the rows.  Resuming a killed campaign is the harness' job, the same
+on every executor (``run_experiment(..., journal=)``, see
+:mod:`repro.experiments.journal`).
 
 The public entry points:
 
@@ -31,7 +32,6 @@ The public entry points:
   (``scheduler`` / ``worker`` / ``run`` -- see :mod:`repro.distributed.cli`).
 """
 
-from repro.distributed.campaign import CampaignJournal
 from repro.distributed.comm import (
     Backend,
     Comm,
@@ -60,7 +60,6 @@ from repro.distributed.worker import AsyncWorker, run_worker
 __all__ = [
     "AsyncWorker",
     "Backend",
-    "CampaignJournal",
     "CampaignStalled",
     "Comm",
     "CommClosedError",

@@ -21,7 +21,10 @@ Addresses are scheme-prefixed comm addresses (``tcp://HOST:PORT``,
 ``inproc://NAME``; see :mod:`repro.distributed.comm`).  The scheduler hands
 each worker request one cell; ``--max-retries`` bounds how often a cell is
 re-run after worker losses and ``--stall-timeout`` how long a campaign waits
-with no worker connected.
+with no worker connected.  ``--journal`` is the harness' resume journal
+(:mod:`repro.experiments.journal`), shared by every selected scenario: cells
+it holds are replayed before any is dispatched, and a re-run prints them as
+``N cached``.
 
 ``scheduler`` and ``run`` accept the same scenario selection as
 ``python -m repro.scenarios run`` (names or ``--all`` [``--tag``]) and print
@@ -73,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--smoke", action="store_true", help="tiny smoke-tier sizes")
     common.add_argument(
         "--journal", type=Path, default=None, metavar="FILE.jsonl",
-        help="campaign journal: completed cells are appended and replayed on restart",
+        help="resume journal: completed cells are appended and replayed on restart",
     )
     common.add_argument(
         "--max-retries", type=int, default=3,
@@ -190,6 +193,7 @@ def _run_scenarios(args: argparse.Namespace, executor: DistributedExecutor) -> i
             sink=sink,
             out=args.out,
             out_format=args.out_format,
+            journal=args.journal,
         )
     if recorder is not None:
         print(
@@ -207,7 +211,6 @@ def _run_scenarios(args: argparse.Namespace, executor: DistributedExecutor) -> i
 
 def _scheduling_kwargs(args: argparse.Namespace) -> dict:
     return {
-        "journal": args.journal,
         "max_retries": args.max_retries,
         "stall_timeout": args.stall_timeout,
     }

@@ -26,31 +26,25 @@ Each ``map`` call runs one campaign: start a
 request gets one cell), raise the local fleet -- forked
 processes for ``tcp://``, event-loop coroutines for ``inproc://``, either
 babysat so a dead worker costs a retry, not the sweep -- stream the ordered
-outcomes, then tear everything down.  With ``journal=`` (or
-``REPRO_JOURNAL=``) pointing at a JSONL file, completed cells are journaled
-as they finish and a restarted campaign re-executes only the incomplete
-ones.  After each campaign the scheduler's counters are published on
-:attr:`last_stats` (and accumulated on :attr:`stats`) so callers and the CLI
-can report retries, evictions and duplicate results.
+outcomes, then tear everything down.  Resume is the harness' business
+(``run_experiment(..., journal=)``): a campaign only ever sees the cells
+that still have to run.  After each campaign the scheduler's counters are
+published on :attr:`last_stats` (and accumulated on :attr:`stats`) so
+callers and the CLI can report retries, evictions and duplicate results.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import threading
 from typing import Callable, Iterator, List, Optional, Sequence, Union
 
-from repro.distributed.campaign import CampaignJournal
 from repro.distributed.comm import core as comm_core
 from repro.distributed.scheduler import Scheduler, SchedulerStats
 from repro.distributed.worker import run_worker
 from repro.experiments.executors import Executor, cpu_count
 from repro.experiments.grid import Cell, CellOutcome
 from repro.telemetry import TelemetryBus
-
-#: Environment variable naming the campaign journal file (JSONL).
-JOURNAL_ENV_VAR = "REPRO_JOURNAL"
 
 #: Spawned local workers that die are replaced, but never more than this
 #: many times per original slot -- a crash-looping cell function must hit
@@ -75,9 +69,6 @@ class DistributedExecutor(Executor):
         Local workers to self-spawn per campaign -- forked processes for
         ``tcp://``, event-loop coroutines for ``inproc://``.  ``0`` spawns
         none and relies on external workers connecting to ``address``.
-    journal:
-        Campaign journal path or :class:`CampaignJournal`; defaults to the
-        ``REPRO_JOURNAL`` environment variable (unset = no journal).
     heartbeat_interval / heartbeat_timeout / max_retries:
         Forwarded to the :class:`Scheduler` (see its docstring).
     stall_timeout:
@@ -103,7 +94,6 @@ class DistributedExecutor(Executor):
         address: str = "tcp://127.0.0.1:0",
         *,
         workers: int = 0,
-        journal: Union[None, str, CampaignJournal] = None,
         heartbeat_interval: float = 0.5,
         heartbeat_timeout: float = 10.0,
         max_retries: int = 3,
@@ -117,9 +107,6 @@ class DistributedExecutor(Executor):
         self.address = address
         self.scheme = comm_core.split_address(address)[0]
         self.workers = workers
-        if journal is None:
-            journal = os.environ.get(JOURNAL_ENV_VAR, "").strip() or None
-        self.journal = CampaignJournal.coerce(journal)
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
         self.max_retries = max_retries
@@ -156,7 +143,6 @@ class DistributedExecutor(Executor):
                 heartbeat_interval=self.heartbeat_interval,
                 heartbeat_timeout=self.heartbeat_timeout,
                 max_retries=self.max_retries,
-                journal=self.journal,
                 stall_timeout=self.stall_timeout,
                 telemetry=self.telemetry,
             )
@@ -277,8 +263,6 @@ def executor_from_address(address: str, *, workers: int = 0) -> DistributedExecu
 
 def local_mini_cluster(
     workers: Optional[int] = None,
-    *,
-    journal: Union[None, str, CampaignJournal] = None,
     **kwargs: object,
 ) -> DistributedExecutor:
     """A self-contained loopback scheduler + ``workers`` forked workers."""
@@ -286,15 +270,12 @@ def local_mini_cluster(
     return DistributedExecutor(
         "tcp://127.0.0.1:0",
         workers=workers if workers is not None else cpu_count(),
-        journal=journal,
         **kwargs,  # type: ignore[arg-type]
     )
 
 
 def inproc_fleet(
     workers: Optional[int] = None,
-    *,
-    journal: Union[None, str, CampaignJournal] = None,
     **kwargs: object,
 ) -> DistributedExecutor:
     """A socketless in-process scheduler + ``workers`` coroutine workers."""
@@ -302,6 +283,5 @@ def inproc_fleet(
     return DistributedExecutor(
         "inproc://",
         workers=workers if workers is not None else cpu_count(),
-        journal=journal,
         **kwargs,  # type: ignore[arg-type]
     )

@@ -40,9 +40,10 @@ op             direction  meaning
 ``bye``        w -> s     orderly disconnect
 =============  =========  ==================================================
 
-``index`` and ``attempt`` must be JSON integers (:func:`int_field`) and
-``delay`` a finite non-negative number (:func:`delay_field`); anything else
-is a :class:`ProtocolError`, which drops the connection.
+``index`` and ``attempt`` must be JSON integers (:func:`int_field`),
+``delay`` a finite number of seconds >= 0 and ``heartbeat_interval`` one
+> 0 (:func:`seconds_field`); anything else is a :class:`ProtocolError`,
+which drops the connection.
 
 The frame-size guard defaults to 64 MB and is configurable through the
 ``REPRO_MAX_FRAME`` environment variable (bytes); oversized frames are
@@ -220,16 +221,22 @@ def int_field(message: Mapping[str, Any], key: str) -> int:
     return value
 
 
-def delay_field(message: Mapping[str, Any]) -> float:
-    """``message["delay"]`` as a finite, non-negative number of seconds."""
+def seconds_field(message: Mapping[str, Any], key: str, *, positive: bool = False) -> float:
+    """``message[key]`` as a finite number of seconds, or :class:`ProtocolError`.
 
-    value = message.get("delay")
-    if type(value) not in (int, float) or not 0 <= value < float("inf"):
-        raise ProtocolError(
-            f"{message.get('op')!r} frame field 'delay' must be a finite "
-            f"number of seconds >= 0, got {reprlib.repr(value)}"
-        )
-    return float(value)
+    The number must be ``>= 0``, or ``> 0`` when ``positive``; strings,
+    booleans, ``nan`` and infinities never pass.
+    """
+
+    value = message.get(key)
+    if type(value) in (int, float) and value < float("inf") and (
+        value > 0 if positive else value >= 0
+    ):
+        return float(value)
+    raise ProtocolError(
+        f"{message.get('op')!r} frame field {key!r} must be a finite "
+        f"number of seconds {'>' if positive else '>='} 0, got {reprlib.repr(value)}"
+    )
 
 
 # -- payload encoding --------------------------------------------------------

@@ -24,11 +24,10 @@ Scheduling model:
   :class:`~repro.experiments.harness.CellExecutionError`.  Results are keyed
   by position and each cell carries its own deterministic seed, so a result
   replayed for a cell that is already done is counted as a duplicate and
-  changes nothing.
-* **resumability**: with a
-  :class:`~repro.distributed.campaign.CampaignJournal` attached, completed
-  cells are appended as they stream in and journaled cells of a restarted
-  campaign are replayed without re-execution.
+  changes nothing.  A result is accepted only from the connection holding
+  the cell and only when it carries that cell's outcome; anything else is a
+  :class:`~repro.distributed.protocol.ProtocolError` that drops the
+  connection and requeues what it held.
 
 The heartbeat monitor is event-driven: it sleeps until the earliest
 possible eviction deadline (or forever while no worker is connected) and is
@@ -46,7 +45,6 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Set, Union
 
 from repro.distributed import protocol
-from repro.distributed.campaign import CampaignJournal
 from repro.distributed.comm import core as comm_core
 from repro.distributed.comm.core import Comm, CommError
 from repro.experiments.grid import Cell, CellOutcome
@@ -85,7 +83,6 @@ class SchedulerStats:
     retries: int = 0
     results: int = 0
     duplicates: int = 0
-    journal_hits: int = 0
     worker_lost_failures: int = 0
 
     @property
@@ -158,7 +155,6 @@ class _Campaign:
     campaign_id: str
     cells: Sequence[Cell]
     fn_payload: str
-    version: str
     pending: Deque[int] = field(default_factory=deque)  # positions awaiting a worker
     done: set = field(default_factory=set)              # positions with a result
     results: Dict[int, CellOutcome] = field(default_factory=dict)
@@ -189,9 +185,6 @@ class Scheduler:
     max_retries:
         How many times a cell may be requeued after worker losses before it
         is failed with a ``WorkerLostError`` outcome.
-    journal:
-        Optional :class:`CampaignJournal` (or path): completed cells are
-        appended, journaled cells are replayed on restart.
     stall_timeout:
         When set, :meth:`run_campaign` raises :class:`CampaignStalled` if
         cells are pending but no worker has been connected for this long.
@@ -212,7 +205,6 @@ class Scheduler:
         heartbeat_interval: float = 1.0,
         heartbeat_timeout: float = 10.0,
         max_retries: int = 3,
-        journal: Union[None, str, CampaignJournal] = None,
         stall_timeout: Optional[float] = None,
         telemetry: Union[None, bool, TelemetryBus] = None,
     ) -> None:
@@ -225,7 +217,6 @@ class Scheduler:
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
         self.max_retries = max_retries
-        self.journal = CampaignJournal.coerce(journal)
         self.stall_timeout = stall_timeout
         self.stats = SchedulerStats()
         if telemetry is False:
@@ -369,36 +360,18 @@ class Scheduler:
         self,
         fn: Callable[[Cell], CellOutcome],
         cells: Sequence[Cell],
-        *,
-        version: Optional[str] = None,
     ) -> Iterator[CellOutcome]:
-        """Execute ``fn`` over ``cells``, yielding outcomes in submission order.
-
-        ``version`` keys the journal entries; it defaults to
-        :func:`~repro.experiments.harness.run_fingerprint` of the wrapped
-        run function, mirroring the result-cache versioning.
-        """
+        """Execute ``fn`` over ``cells``, yielding outcomes in submission order."""
 
         cells = list(cells)
         if not cells:
             return
-        if version is None:
-            version = self._fingerprint(fn)
         campaign = _Campaign(
             campaign_id=uuid.uuid4().hex[:12],
             cells=cells,
             fn_payload=protocol.encode_payload(fn),
-            version=version,
+            pending=deque(range(len(cells))),
         )
-        # Replay journaled cells; queue only the incomplete ones.
-        for position, cell in enumerate(cells):
-            replayed = self.journal.lookup(cell, version) if self.journal else None
-            if replayed is not None:
-                campaign.results[position] = replayed
-                campaign.done.add(position)
-                self.stats.journal_hits += 1
-            else:
-                campaign.pending.append(position)
 
         with self._lock:
             if self._campaign is not None:
@@ -412,7 +385,6 @@ class Scheduler:
         self._emit(
             TOPIC_SCHEDULER, "campaign-start", campaign=campaign.campaign_id,
             cells=len(cells), pending=len(campaign.pending),
-            journal_hits=len(campaign.done),
         )
         try:
             for position in range(len(cells)):
@@ -445,12 +417,6 @@ class Scheduler:
                 body = self.stats.to_payload(elapsed_seconds=elapsed)
                 body["campaign"] = campaign.campaign_id
                 self._bus.publish(TOPIC_STATS, body)
-
-    @staticmethod
-    def _fingerprint(fn: Callable[[Cell], CellOutcome]) -> str:
-        from repro.experiments.harness import run_fingerprint
-
-        return run_fingerprint(getattr(fn, "run", fn))
 
     def _check_stalled(self, campaign: _Campaign) -> None:
         """Raise when cells are pending but no worker has shown up for too long.
@@ -783,7 +749,6 @@ class Scheduler:
             raise protocol.ProtocolError(
                 f"result outcome is a {type(outcome).__name__}, not a CellOutcome"
             )
-        record = None
         with self._lock:
             campaign = self._campaign
             current = campaign is not None and campaign.campaign_id == message.get("campaign")
@@ -800,14 +765,25 @@ class Scheduler:
                     position=position, worker=conn.worker_id,
                 )
                 return
+            if position not in conn.assignments:
+                raise protocol.ProtocolError(
+                    f"worker {conn.worker_id!r} sent a result for cell {position} "
+                    f"of campaign {campaign.campaign_id}, which it does not hold"
+                )
+            # Compared by repr, as cell_key does: a nan parameter is not ==
+            # to its own pickled copy.
+            if repr(outcome.cell) != repr(campaign.cells[position]):
+                raise protocol.ProtocolError(
+                    f"result for cell {position} of campaign "
+                    f"{campaign.campaign_id} carries the outcome of cell "
+                    f"{outcome.cell.describe()}, not "
+                    f"{campaign.cells[position].describe()}"
+                )
             campaign.done.add(position)
             campaign.results[position] = outcome
             self.stats.results += 1
-            runner = campaign.running.pop(position, None)
-            if runner is not None:
-                runner.assignments.discard(position)
-            if self.journal is not None and not outcome.failed:
-                record = (campaign.cells[position], outcome, campaign.version)
+            campaign.running.pop(position, None)
+            conn.assignments.discard(position)
             queue_sample = self._queue_sample(campaign)
             self._lock.notify_all()
         self._emit(
@@ -815,8 +791,6 @@ class Scheduler:
             position=position, worker=conn.worker_id, failed=bool(outcome.failed),
         )
         self._emit(TOPIC_QUEUE, "queue-sample", **queue_sample)
-        if record is not None:
-            self.journal.record(*record)
 
     # -- connection loss ----------------------------------------------------
 

@@ -167,7 +167,7 @@ class AsyncWorker:
         welcome = await asyncio.wait_for(comm.recv(), timeout=self.reply_timeout)
         if welcome.get("op") != "welcome":
             raise protocol.ProtocolError(f"expected welcome, got {welcome!r}")
-        heartbeat_interval = float(welcome.get("heartbeat_interval", 1.0))
+        heartbeat_interval = protocol.seconds_field(welcome, "heartbeat_interval", positive=True)
         telemetry_on = bool(welcome.get("telemetry")) and self.telemetry is not False
         if telemetry_on:
             # A private local bus: spans land here first, the pump batches
@@ -268,7 +268,7 @@ class AsyncWorker:
                 }
                 self._wake.set()
             elif op == "idle":
-                self._idle_delay = protocol.delay_field(message)
+                self._idle_delay = protocol.seconds_field(message, "delay")
                 self._wake.set()
             else:
                 raise protocol.ProtocolError(f"unexpected op {op!r} from scheduler")

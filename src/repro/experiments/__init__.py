@@ -5,7 +5,7 @@
   stages: grid expansion (:mod:`repro.experiments.grid`), parallel cell
   execution (:mod:`repro.experiments.executors`, selected with the
   ``REPRO_JOBS`` environment variable) and streamed aggregation, with an
-  optional on-disk cell cache (:mod:`repro.experiments.cache`);
+  optional resume journal (:mod:`repro.experiments.journal`);
 * :mod:`repro.experiments.figure2` -- the Figure 2 simulation (bi-criteria
   algorithm on a 100-machine cluster, parallel vs non-parallel workloads);
 * :mod:`repro.experiments.ratio_checks` -- empirical verification of the
@@ -15,7 +15,6 @@
   export used by the examples and benchmarks.
 """
 
-from repro.experiments.cache import ResultCache
 from repro.experiments.executors import (
     Executor,
     ProcessPoolExecutor,
@@ -26,10 +25,9 @@ from repro.experiments.grid import Cell, CellOutcome, expand_grid
 from repro.experiments.harness import (
     CellExecutionError,
     ExperimentResult,
-    ExperimentRunner,
     run_experiment,
-    sweep,
 )
+from repro.experiments.journal import CampaignJournal
 from repro.experiments.figure2 import (
     Figure2Config,
     Figure2Point,
@@ -51,13 +49,11 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ProcessPoolExecutor",
-    "ResultCache",
+    "CampaignJournal",
     "resolve_executor",
     "expand_grid",
     "run_experiment",
-    "ExperimentRunner",
     "ExperimentResult",
-    "sweep",
     "Figure2Config",
     "Figure2Point",
     "run_figure2",

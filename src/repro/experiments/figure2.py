@@ -144,7 +144,6 @@ def run_figure2(
     config: Optional[Figure2Config] = None,
     *,
     executor: object = None,
-    cache: object = None,
 ) -> List[Figure2Point]:
     """Run the full Figure 2 sweep (both families, all task counts, all seeds).
 
@@ -165,7 +164,6 @@ def run_figure2(
         repetitions=config.repetitions,
         base_seed=config.base_seed,
         executor=executor,  # type: ignore[arg-type]
-        cache=cache,  # type: ignore[arg-type]
     )
     return points_from_rows(result.rows)
 

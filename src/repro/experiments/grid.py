@@ -136,8 +136,8 @@ class CellKeyer:
     """Precomputed :func:`cell_key` builder for one (experiment, version).
 
     ``cell_key`` serialises the same experiment name and version string for
-    every cell of a sweep; over a cached campaign that is two JSON dumps and
-    a dict build per cell lookup *and* per store.  The keyer freezes the
+    every cell of a sweep; over a journaled campaign that is two JSON dumps
+    and a dict build per cell lookup *and* per append.  The keyer freezes the
     constant head/tail of the JSON blob once and caches the params segment
     per distinct configuration (repetitions share it), so the per-cell work
     drops to one string concatenation and the SHA-256.
@@ -195,8 +195,8 @@ class CellKeyer:
 def keyer_for(experiment: str, version: str = "") -> CellKeyer:
     """The shared :class:`CellKeyer` of one (experiment, version) pair.
 
-    Every key path -- result cache, campaign store, distributed journal --
-    funnels through :func:`cell_key`, so memoising the keyer here gives all
+    Both key paths -- the resume journal and the campaign store -- funnel
+    through :func:`cell_key`, so memoising the keyer here gives all
     of them the once-per-sweep precomputation without signature changes.
     """
 
@@ -204,11 +204,13 @@ def keyer_for(experiment: str, version: str = "") -> CellKeyer:
 
 
 def cell_key(experiment: str, cell: Cell, version: str = "") -> str:
-    """Stable hash identifying one cell of one experiment (cache key).
+    """Stable hash identifying one cell of one experiment.
 
     The key covers the experiment name, the configuration, the seed and a
     free-form ``version`` string (typically a fingerprint of the run
-    function) so stale cached results are not replayed across code changes.
+    function) so stale journaled results are not replayed across code
+    changes.  It keys the resume journal (:mod:`repro.experiments.journal`)
+    and deduplicates the campaign store.
     """
 
     return keyer_for(experiment, version).key(cell)

@@ -18,9 +18,10 @@ The sweep is organised in three separable stages:
    (:class:`repro.metrics.aggregate.StreamingAggregator`).
 
 Because cells carry deterministic seeds and executors preserve order, the
-rows of a parallel run are identical to a serial run.  An optional on-disk
-cache (:class:`repro.experiments.cache.ResultCache`) skips cells already
-computed by a previous invocation.
+rows of a parallel run are identical to a serial run.  An optional journal
+(:class:`repro.experiments.journal.CampaignJournal`) makes a sweep
+resumable on every executor: cells it already holds are replayed before
+dispatch, and every other cell is appended as the harness consumes it.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
-from repro.experiments.cache import ResultCache
 from repro.experiments.executors import ExecutorSpec, resolve_executor
 from repro.experiments.grid import Cell, CellFunction, CellOutcome, RunFunction, expand_grid
+from repro.experiments.journal import CampaignJournal
 from repro.metrics.aggregate import StreamingAggregator, Summary, aggregate_runs, group_by
 
 
@@ -160,10 +161,10 @@ def _source_text(target: Any) -> Optional[str]:
     """``inspect.getsource`` with a cache keyed by the function object.
 
     ``getsource`` re-reads and re-tokenises the defining file on every call;
-    campaign drivers fingerprint the same run functions once per sweep (and
-    the distributed scheduler once per submitted task), so the memo turns
-    the repeated cost into a dict hit.  Stale entries are impossible within
-    a process: a re-defined function is a new object, hence a new key.
+    campaign drivers fingerprint the same run functions once per sweep, so
+    the memo turns the repeated cost into a dict hit.  Stale entries are
+    impossible within a process: a re-defined function is a new object,
+    hence a new key.
     """
 
     try:
@@ -173,11 +174,11 @@ def _source_text(target: Any) -> Optional[str]:
 
 
 def run_fingerprint(run: RunFunction) -> str:
-    """A short fingerprint of a run function, used to version cache entries.
+    """A short fingerprint of a run function, used to version journal entries.
 
     Covers the qualified name, the source text when available, and -- for
     :func:`functools.partial` objects -- the bound arguments, so editing an
-    experiment or changing its configuration invalidates its cached cells.
+    experiment or changing its configuration invalidates its journaled cells.
     """
 
     parts: List[str] = []
@@ -207,8 +208,7 @@ def run_experiment(
     repetitions: int = 3,
     base_seed: int = 1234,
     executor: ExecutorSpec = None,
-    cache: Union[None, str, Path, ResultCache] = None,
-    cache_version: Optional[str] = None,
+    journal: Union[None, str, Path, CampaignJournal] = None,
     sink: Any = None,
     listener: Any = None,
     capture_errors: bool = False,
@@ -218,7 +218,7 @@ def run_experiment(
     Parameters
     ----------
     name:
-        Experiment identifier (stored in every row, keys the cache).
+        Experiment identifier (stored in every row).
     run:
         Callable returning a mapping of metric name to value.  Must be
         picklable (a module-level function or :func:`functools.partial` of
@@ -233,14 +233,17 @@ def run_experiment(
         ``"process"``/``"auto"``, an integer job count, ``"distributed"``
         or a ``tcp://host:port`` distributed-scheduler bind address, or an
         :class:`~repro.experiments.executors.Executor` instance.
-    cache:
-        Optional on-disk cell cache (a directory path or a
-        :class:`~repro.experiments.cache.ResultCache`); completed cells are
-        skipped on re-runs.
+    journal:
+        Optional resume journal (a JSONL file path or a
+        :class:`~repro.experiments.journal.CampaignJournal`).  Cells it
+        holds for this run function are replayed without executing
+        (``cached=True``, counted in ``cache_hits``); every other successful
+        cell is appended in submission order as the harness consumes it, so
+        a killed sweep re-runs only the cells it had not yet consumed.
     sink:
         Optional :class:`~repro.store.api.RowSink` (or a campaign-store
         directory path) receiving every completed cell as it streams in --
-        replayed ones included, so a cached re-run still lands a full row
+        replayed ones included, so a resumed run still lands a full row
         set.  Flushed when the sweep finishes, even on error.
     listener:
         Optional :class:`repro.telemetry.listener.SweepListener` receiving
@@ -265,12 +268,10 @@ def run_experiment(
     with spans.span("harness.expand"):
         cells = expand_grid(parameters, repetitions=repetitions, base_seed=base_seed)
     backend = resolve_executor(executor)
-    store = ResultCache.coerce(cache)
+    journal = CampaignJournal.coerce(journal)
     row_sink = coerce_sink(sink)
     notify = FanoutListener([get_bus(), listener])
-    version = cache_version if cache_version is not None else (
-        run_fingerprint(run) if (store is not None or row_sink is not None) else ""
-    )
+    version = run_fingerprint(run) if (journal is not None or row_sink is not None) else ""
 
     start = time.perf_counter()
     aggregator = StreamingAggregator()
@@ -278,9 +279,9 @@ def run_experiment(
 
     cached: Dict[int, CellOutcome] = {}
     pending: List[Cell] = []
-    if store is not None:
+    if journal is not None:
         for cell in cells:
-            hit = store.lookup(name, cell, version)
+            hit = journal.lookup(cell, version)
             if hit is not None:
                 cached[cell.index] = hit
             else:
@@ -312,14 +313,14 @@ def run_experiment(
                 result.errors.append(outcome)
                 notify.on_error(name, cell, outcome)
                 continue
-            # "harness.emit": compose + aggregate + cache/sink writes +
+            # "harness.emit": compose + aggregate + journal/sink writes +
             # listener fan-out for one finished cell.
             with spans.span("harness.emit"):
                 row = compose_row(name, cell, outcome)
                 result.rows.append(row)
                 aggregator.update(row)
-                if store is not None and not outcome.cached:
-                    store.store(name, cell, outcome, version)
+                if journal is not None and not outcome.cached:
+                    journal.record(cell, outcome, version)
                 if row_sink is not None:
                     row_sink.write(name, cell, outcome, version)
                 notify.on_row(name, cell, row, outcome)
@@ -341,60 +342,3 @@ def run_experiment(
         notify.on_sweep_end(name, result)
 
     return result
-
-
-@dataclass
-class ExperimentRunner:
-    """Run a function over a parameter grid with repetitions.
-
-    Declarative counterpart of :func:`run_experiment` (which it delegates
-    to); kept for backwards compatibility and for callers that build the
-    runner in one place and execute it in another.
-    """
-
-    name: str
-    run: RunFunction
-    parameters: Mapping[str, Sequence[Any]] = field(default_factory=dict)
-    repetitions: int = 3
-    base_seed: int = 1234
-
-    def execute(
-        self,
-        *,
-        listener: Any = None,
-        executor: ExecutorSpec = None,
-        cache: Union[None, str, Path, ResultCache] = None,
-    ) -> ExperimentResult:
-        return run_experiment(
-            self.name,
-            self.run,
-            self.parameters,
-            repetitions=self.repetitions,
-            base_seed=self.base_seed,
-            executor=executor,
-            cache=cache,
-            listener=listener,
-        )
-
-
-def sweep(
-    name: str,
-    run: RunFunction,
-    *,
-    repetitions: int = 3,
-    base_seed: int = 1234,
-    executor: ExecutorSpec = None,
-    cache: Union[None, str, Path, ResultCache] = None,
-    **parameters: Sequence[Any],
-) -> ExperimentResult:
-    """Convenience wrapper: ``sweep("exp", fn, n_jobs=[10, 100], policy=["a", "b"])``."""
-
-    return run_experiment(
-        name,
-        run,
-        parameters,
-        repetitions=repetitions,
-        base_seed=base_seed,
-        executor=executor,
-        cache=cache,
-    )

@@ -1,41 +1,69 @@
-"""Resumable campaign journal: completed cells survive a killed campaign.
+"""Resumable sweep journal: completed cells survive a killed sweep.
 
-A *campaign* is one sweep routed through the distributed scheduler.  The
-journal is an append-only JSONL file: one line per completed cell, keyed by
-:func:`repro.experiments.grid.cell_key` over the cell's configuration, seed
-and a fingerprint of the run function
-(:func:`repro.experiments.harness.run_fingerprint` -- the same versioning
-the on-disk :class:`~repro.experiments.cache.ResultCache` uses, so editing
-the experiment invalidates journal entries automatically).
+The journal is an append-only JSONL file: one line per completed cell,
+keyed by :func:`repro.experiments.grid.cell_key` over the cell's
+configuration, seed and a fingerprint of the run function
+(:func:`repro.experiments.harness.run_fingerprint`), so editing the
+experiment invalidates its entries automatically.  The fingerprint does
+*not* see code the function calls into or module-level constants it reads
+-- after changing those, start a fresh journal file.
 
-When a campaign is killed and restarted against the same journal file, the
-scheduler replays the journaled outcomes without re-executing them and only
-queues the incomplete cells.  Appends are flushed line-by-line; a line
-truncated by a crash mid-write is skipped on load (everything before it is
-still recovered).
+:func:`repro.experiments.harness.run_experiment` owns it (``journal=``):
+journaled cells of a restarted sweep are replayed without re-execution and
+only the incomplete ones reach the executor, whichever executor that is.
+Appends are flushed line-by-line; a line truncated by a crash mid-write is
+skipped on load (everything before it is still recovered).
 
-Like the cell cache -- and through the very same
-:func:`~repro.experiments.cache.encode_replayable` helper -- only metrics
-that survive a JSON round-trip unchanged are journaled; cells returning
-rich Python objects are re-executed on resume (correct, just not
-accelerated).
+Only metrics that survive a JSON round-trip unchanged are journaled
+(:func:`encode_replayable`); cells returning rich Python objects are
+re-executed on resume (correct, just not accelerated).
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Mapping, Optional, Union
 
-from repro.experiments.cache import decode_replayed, encode_replayable
 from repro.experiments.grid import Cell, CellOutcome, cell_key
 
 #: The ``experiment`` label under which journal keys are derived.  The run
 #: function fingerprint (folded into the key's ``version``) already pins the
-#: campaign's identity, so a constant label keeps keys stable across the
+#: sweep's identity, so a constant label keeps keys stable across the
 #: harness' varying experiment names.
 JOURNAL_EXPERIMENT = "campaign"
+
+
+def encode_replayable(outcome: CellOutcome) -> Optional[Dict[str, Any]]:
+    """The JSON-safe replay fields of a successful outcome, or ``None``.
+
+    The single definition of "replayable" shared by the journal and the
+    campaign store: only metrics that survive a JSON round-trip *unchanged*
+    may be persisted (tuples and non-string dict keys do not), so replayed
+    rows are bit-identical to freshly computed ones.  Failed outcomes and
+    rich-object metrics return ``None`` -- the cell is simply recomputed
+    next time (correct, just not accelerated).
+    """
+
+    if outcome.failed or outcome.metrics is None:
+        return None
+    try:
+        if json.loads(json.dumps(outcome.metrics)) != outcome.metrics:
+            return None
+    except (TypeError, ValueError):
+        return None
+    return {"metrics": outcome.metrics, "elapsed_seconds": outcome.elapsed_seconds}
+
+
+def decode_replayed(cell: Cell, payload: Mapping[str, Any]) -> CellOutcome:
+    """Rebuild the replayed outcome of a persisted entry (``cached=True``)."""
+
+    return CellOutcome(
+        cell=cell,
+        metrics=payload.get("metrics", {}),
+        elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),
+        cached=True,
+    )
 
 
 def journal_key(cell: Cell, version: str) -> str:
@@ -69,11 +97,10 @@ def load_journal_entries(path: Union[str, Path]) -> Dict[str, Dict[str, Any]]:
 
 
 class CampaignJournal:
-    """An on-disk JSONL record of completed campaign cells."""
+    """An on-disk JSONL record of completed sweep cells."""
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self._lock = threading.Lock()
         self._entries: Optional[Dict[str, Dict[str, Any]]] = None
 
     @classmethod
@@ -92,13 +119,9 @@ class CampaignJournal:
     def entries(self) -> Dict[str, Dict[str, Any]]:
         """All journaled entries, keyed by cell key (loaded once, then live)."""
 
-        with self._lock:
-            if self._entries is None:
-                self._entries = self._load()
-            return self._entries
-
-    def _load(self) -> Dict[str, Dict[str, Any]]:
-        return load_journal_entries(self.path)
+        if self._entries is None:
+            self._entries = load_journal_entries(self.path)
+        return self._entries
 
     def __len__(self) -> int:
         return len(self.entries())
@@ -130,26 +153,10 @@ class CampaignJournal:
             line = json.dumps(entry, sort_keys=True)
         except (TypeError, ValueError):
             return False  # non-JSON cell parameters
-        with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
-                handle.flush()
-            if self._entries is not None:
-                self._entries[entry["key"]] = entry
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        with open(self.path, "a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+            handle.flush()
+        if self._entries is not None:
+            self._entries[entry["key"]] = entry
         return True
-
-    # -- unified results API (repro.store.api.RowSink / RowSource) ----------
-    # The journal keys on the run fingerprint alone (JOURNAL_EXPERIMENT is a
-    # constant label), so the protocol adapters ignore ``experiment``.
-
-    def write(self, experiment: str, cell: Cell, outcome: CellOutcome, version: str = "") -> bool:
-        if outcome.failed:
-            return False
-        return self.record(cell, outcome, version)
-
-    def replay(self, experiment: str, cell: Cell, version: str = "") -> Optional[CellOutcome]:
-        return self.lookup(cell, version)
-
-    def flush(self) -> None:
-        """Appends are flushed line-by-line; nothing buffered to push."""

@@ -5,9 +5,9 @@ this package turns scenario diversity into *data*.  A scenario is a
 :class:`~repro.scenarios.spec.ScenarioSpec` -- workload model + arrival
 process + platform + policy + metrics + seed + sweep axes -- registered
 under a unique name and materialized by the composer into the existing
-parallel experiment harness, so every scenario is sweepable, cacheable
-(``REPRO_CACHE_DIR``) and parallelizable (``REPRO_JOBS``) with zero bespoke
-code, and the benchmark (``perfbench/``) times the registered sweeps as-is.
+parallel experiment harness, so every scenario is sweepable, resumable
+(``run_scenario(..., journal=)``) and parallelizable (``REPRO_JOBS``) with
+zero bespoke code, and the benchmark (``perfbench/``) times the registered sweeps as-is.
 
 Quick tour::
 

@@ -31,6 +31,7 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional
 
+from repro.experiments.journal import CampaignJournal
 from repro.scenarios import registry
 from repro.scenarios.composer import rows_digest, run_scenario, summarize
 from repro.scenarios.spec import ScenarioSpec, SpecError
@@ -276,6 +277,7 @@ def run_specs(
     sink: Any = None,
     out: Optional[Path] = None,
     out_format: Optional[str] = None,
+    journal: Any = None,
 ) -> int:
     """Run scenario specs, print ok/FAIL summary lines, optionally write JSON.
 
@@ -284,17 +286,22 @@ def run_specs(
     handling and exit codes cannot drift between the CLIs.  Every completed
     cell streams into ``sink`` (a :class:`~repro.store.api.RowSink`, e.g. a
     campaign store) when one is given; ``out`` additionally exports the
-    concatenated rows through :func:`repro.store.api.write_rows`.  Returns 1
-    when any scenario failed, else 0.
+    concatenated rows through :func:`repro.store.api.write_rows`.  Every
+    scenario shares ``journal`` (a JSONL resume journal, see
+    :func:`~repro.experiments.harness.run_experiment`).  Returns 1 when any
+    scenario failed, else 0.
     """
 
     tier = "smoke" if smoke else "full"
+    journal = CampaignJournal.coerce(journal)  # loaded once for every scenario
     summaries: List[Dict[str, Any]] = []
     exported: List[Dict[str, Any]] = []
     failures = 0
     for spec in specs:
         try:
-            result = run_scenario(spec, smoke=smoke, executor=executor, sink=sink)
+            result = run_scenario(
+                spec, smoke=smoke, executor=executor, journal=journal, sink=sink
+            )
         except Exception as error:  # a broken scenario must fail the build, visibly
             failures += 1
             message = f"{type(error).__name__}: {error}"
@@ -305,8 +312,6 @@ def run_specs(
         if out is not None:
             exported.extend(result.rows)
             outcome.rows_path = str(out)
-        # Cache hits cover both the on-disk result cache and, under a
-        # distributed executor, campaign-journal replays.
         replayed = f", {outcome.cache_hits} cached" if outcome.cache_hits else ""
         print(
             f"ok   {outcome.name}: {outcome.rows} rows in "

@@ -17,8 +17,8 @@ Everything funnels through :func:`run_scenario_cell`, a module-level
 picklable function, so every scenario inherits the whole sweep machinery of
 :func:`repro.experiments.harness.run_experiment` for free: parallel
 executors (``REPRO_JOBS=N`` pools, ``REPRO_JOBS=tcp://host:port``
-distributed campaigns), the on-disk cell cache (``REPRO_CACHE_DIR``),
-streamed aggregation and bit-identical rows on every backend.
+distributed campaigns), journal resume (``journal=``), streamed
+aggregation and bit-identical rows on every backend.
 """
 
 from __future__ import annotations
@@ -697,7 +697,7 @@ def run_scenario(
     sweep: Optional[Mapping[str, Sequence[Any]]] = None,
     repetitions: Optional[int] = None,
     executor: ExecutorSpec = None,
-    cache: Any = None,
+    journal: Any = None,
     sink: Any = None,
     listener: Any = None,
     capture_errors: bool = False,
@@ -710,8 +710,10 @@ def run_scenario(
     returned :class:`ExperimentResult` is exactly what the equivalent
     hand-wired :func:`run_experiment` call would produce.  ``sink`` is an
     optional :class:`~repro.store.api.RowSink` (or campaign-store directory)
-    every completed cell streams into, whatever the executor.  ``listener``
-    is an optional :class:`~repro.telemetry.listener.SweepListener`.
+    every completed cell streams into, whatever the executor.  ``journal``
+    is an optional resume journal (see :func:`run_experiment`).
+    ``listener`` is an optional
+    :class:`~repro.telemetry.listener.SweepListener`.
     """
 
     effective = spec.smoke_spec() if smoke else spec
@@ -730,7 +732,7 @@ def run_scenario(
         repetitions=effective.repetitions,
         base_seed=effective.seed,
         executor=executor,
-        cache=cache,
+        journal=journal,
         sink=sink,
         listener=listener,
         capture_errors=capture_errors,
@@ -755,8 +757,7 @@ class ScenarioOutcome:
     executor: str
     errors: int = 0
     error: str = ""
-    #: Cells replayed from the result cache or a distributed campaign
-    #: journal instead of being executed.
+    #: Cells replayed from the resume journal instead of being executed.
     cache_hits: int = 0
     #: Where the rows were exported (``--out``), empty when not exported.
     rows_path: str = ""

@@ -2,9 +2,9 @@
 
 The package has four layers, importable a la carte:
 
-* :mod:`repro.store.api` -- the :class:`RowSink`/:class:`RowSource`
-  protocols every row store implements, plus :func:`write_rows`, the single
-  export entry point behind the CLIs' ``--out`` flags.
+* :mod:`repro.store.api` -- the :class:`RowSink` protocol the harness
+  streams completed cells into, plus :func:`write_rows`, the single export
+  entry point behind the CLIs' ``--out`` flags.
 * :mod:`repro.store.columnar` -- :class:`CampaignStore`, Parquet (or JSONL
   fallback) partitions published through an atomic manifest.
 * :mod:`repro.store.queries` -- named queries over the store's records.
@@ -19,7 +19,6 @@ Parquet.
 from repro.store.api import (
     FORMATS,
     RowSink,
-    RowSource,
     StoreUnavailableError,
     compose_row,
     infer_format,
@@ -38,7 +37,6 @@ __all__ = [
     "QueryError",
     "RULES",
     "RowSink",
-    "RowSource",
     "RuleResult",
     "CampaignStore",
     "Partition",

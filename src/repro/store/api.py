@@ -1,26 +1,18 @@
-"""The unified results API: one protocol for every row producer.
-
-Historically the repository persisted sweep rows through three unrelated
-code paths -- the on-disk :class:`~repro.experiments.cache.ResultCache`,
-the distributed :class:`~repro.distributed.campaign.CampaignJournal` and
-ad-hoc ``reporting.to_csv`` calls -- each with its own encoding.  This
-module defines the single contract they all speak now:
+"""The unified results API: where completed sweep cells go.
 
 * :class:`RowSink` -- anything that accepts completed cells.  The harness
   (:func:`repro.experiments.harness.run_experiment`) streams every finished
   cell into its ``sink=``, whatever executor produced it (serial, pool,
-  ``tcp://``, ``inproc://``).
-* :class:`RowSource` -- anything that can replay a previously persisted
-  cell, keyed by :func:`repro.experiments.grid.cell_key` plus the run
-  fingerprint, exactly like the cache and the journal.
+  ``tcp://``, ``inproc://``); the columnar
+  :class:`~repro.store.columnar.CampaignStore` is the sink the repository
+  ships.
 * :func:`write_rows` -- the one export entry point behind every CLI
   ``--out`` flag: CSV, JSONL or Parquet, inferred from the file suffix.
 
-All three row stores (cache, journal and the columnar
-:class:`~repro.store.columnar.CampaignStore`) implement both protocols and
-share the :func:`~repro.experiments.cache.encode_replayable` /
-:func:`~repro.experiments.cache.decode_replayed` codec, so a row replayed
-from any of them is bit-identical to a freshly computed one.
+Resuming a sweep is not a sink's job: the harness replays cells from its
+resume journal (:mod:`repro.experiments.journal`).  The store and the
+journal share the :func:`~repro.experiments.journal.encode_replayable`
+rule, so only rows that survive a JSON round-trip unchanged are persisted.
 """
 
 from __future__ import annotations
@@ -66,15 +58,6 @@ class RowSink(Protocol):
 
     def flush(self) -> None:
         """Make every accepted cell durable (no-op for line-buffered sinks)."""
-        ...
-
-
-@runtime_checkable
-class RowSource(Protocol):
-    """Replays persisted cells; the read half of the results API."""
-
-    def replay(self, experiment: str, cell: Cell, version: str = "") -> Optional[CellOutcome]:
-        """The persisted outcome of ``cell`` (``cached=True``), or ``None``."""
         ...
 
 

@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ing = sub.add_parser(
         "ingest", parents=[store_arg],
-        help="ingest a legacy campaign journal (JSONL) or CSV export",
+        help="ingest a resume journal (JSONL) or CSV export",
     )
     ing.add_argument("source", type=Path, help="journal .jsonl or .csv file")
     ing.add_argument(

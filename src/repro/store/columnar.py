@@ -17,9 +17,8 @@ Every record carries the exact result row as a ``row_json`` string (the
 bit-identity channel) *plus* promoted native columns for each scalar value
 (what an outside Parquet reader sees without JSON unpacking), and is
 keyed by :func:`repro.experiments.grid.cell_key` + the run-function
-fingerprint, the same dedup keying the result cache and the campaign
-journal use.  Appending the same cell to the same campaign twice is a
-counted no-op.
+fingerprint, the same keying the resume journal uses.  Appending the same
+cell to the same campaign twice is a counted no-op.
 
 Parquet needs the optional ``pyarrow`` dependency (the ``[analytics]``
 extra); without it the store transparently falls back to JSONL part files
@@ -37,8 +36,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from repro.experiments.cache import encode_replayable
 from repro.experiments.grid import Cell, CellOutcome, cell_key
+from repro.experiments.journal import encode_replayable
 from repro.store.api import StoreUnavailableError, compose_row, json_stable
 
 MANIFEST_NAME = "manifest.json"
@@ -181,7 +180,7 @@ class _Buffer:
 
 
 class CampaignStore:
-    """A directory of columnar campaign results (RowSink + RowSource).
+    """A directory of columnar campaign results (a :class:`~repro.store.api.RowSink`).
 
     Parameters
     ----------
@@ -277,9 +276,9 @@ class CampaignStore:
     def write(self, experiment: str, cell: Cell, outcome: CellOutcome, version: str = "") -> bool:
         """Persist one completed cell (the :class:`~repro.store.api.RowSink` hook).
 
-        Shares the replayability rule of the cache and the journal: only
-        outcomes whose metrics survive a JSON round-trip unchanged land, so
-        replayed rows stay bit-identical.
+        Shares the replayability rule of the resume journal: only outcomes
+        whose metrics survive a JSON round-trip unchanged land, so stored
+        rows stay bit-identical.
         """
 
         if encode_replayable(outcome) is None:
@@ -485,7 +484,7 @@ class CampaignStore:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    # -- read half (RowSource + iteration) ---------------------------------
+    # -- read half ---------------------------------------------------------
 
     def _read_part(self, part: Partition) -> List[Dict[str, Any]]:
         path = self.root / part.path
@@ -543,24 +542,6 @@ class CampaignStore:
 
         return [json.loads(r["row_json"]) for r in self.records(campaign=campaign,
                                                                 scenario=scenario)]
-
-    def replay(self, experiment: str, cell: Cell, version: str = "") -> Optional[CellOutcome]:
-        """Rebuild the persisted outcome of ``cell`` (``cached=True``), or ``None``."""
-
-        wanted = cell_key(experiment, cell, version)
-        for record in self._stored_records(scenario=experiment):
-            if record.get("key") != wanted:
-                continue
-            row = json.loads(record["row_json"])
-            skip = set(cell.params_dict) | {"experiment", "seed"}
-            metrics = {name: value for name, value in row.items() if name not in skip}
-            return CellOutcome(
-                cell=cell,
-                metrics=metrics,
-                elapsed_seconds=float(record.get("elapsed_seconds", 0.0)),
-                cached=True,
-            )
-        return None
 
     def __len__(self) -> int:
         return sum(part.rows for part in self.partitions())

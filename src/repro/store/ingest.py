@@ -1,12 +1,12 @@
 """Ingest legacy result files into a campaign store.
 
-Two legacy encodings predate the store and remain in the wild:
+Two other encodings of sweep rows exist outside the store:
 
-* **campaign journals** -- the append-only JSONL files of the distributed
-  runner (:mod:`repro.distributed.campaign`).  Ingest reuses the journal's
-  own crash-tolerant loader, so a journal truncated mid-append recovers
-  every complete entry, and keeps each entry's dedup key, so re-ingesting
-  (or resuming the campaign afterwards) cannot duplicate rows.
+* **resume journals** -- the append-only JSONL files of the harness
+  (:mod:`repro.experiments.journal`).  Ingest reuses the journal's own
+  crash-tolerant loader, so a journal truncated mid-append recovers every
+  complete entry, and keeps each entry's dedup key, so re-ingesting (or
+  resuming the sweep afterwards) cannot duplicate rows.
 * **CSV exports** -- ``reporting.to_csv`` output.  Values are re-typed
   (int, then float, then bool, else string); the dedup key is derived from
   the row content, so re-ingesting the same file is a no-op.
@@ -19,6 +19,7 @@ import io
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
+from repro.experiments.journal import JOURNAL_EXPERIMENT, load_journal_entries
 from repro.store.columnar import CampaignStore
 
 
@@ -40,15 +41,13 @@ def ingest_journal(
     scenario: Optional[str] = None,
     campaign: Optional[str] = None,
 ) -> int:
-    """Land every complete entry of a campaign journal; returns rows appended.
+    """Land every complete entry of a resume journal; returns rows appended.
 
     ``scenario`` labels the rows (defaults to the journal's constant
     ``campaign`` experiment label); the journaled cell key is kept as the
     store dedup key, so ingest is idempotent and consistent with a live
-    campaign writing through the same keying.
+    sweep writing through the same keying.
     """
-
-    from repro.distributed.campaign import JOURNAL_EXPERIMENT, load_journal_entries
 
     label = scenario or JOURNAL_EXPERIMENT
     appended = 0

@@ -5,7 +5,8 @@ The acceptance contract of the distributed runtime:
 * a 64-cell sweep through 4 workers is bit-identical (rows and digests) to
   :class:`SerialExecutor`, in submission order;
 * a worker SIGKILLed mid-sweep costs a retry, not the sweep;
-* a journal-resumed campaign re-executes exactly the incomplete cells;
+* a journal-resumed campaign (``run_experiment(..., journal=)``)
+  re-executes exactly the cells the killed one had not consumed;
 * a cell whose retry budget is exhausted by worker deaths surfaces as
   :class:`CellExecutionError` carrying the failing configuration.
 
@@ -27,6 +28,7 @@ from repro.distributed import DistributedExecutor
 from repro.experiments.grid import CellFunction, expand_grid
 from repro.experiments.harness import CellExecutionError, run_experiment
 from repro.scenarios.composer import rows_digest
+from repro.telemetry import SweepListener
 
 GRID_4x4 = {"a": [1, 2, 3, 4], "b": [10, 20, 30, 40]}  # x4 reps = 64 cells
 
@@ -128,6 +130,20 @@ class TestWorkerLoss:
         assert "retry budget" in str(error)
 
 
+class SweepKilled(Exception):
+    """Stands in for the signal that kills a campaign mid-way."""
+
+
+class KillAfterRows(SweepListener):
+    def __init__(self, rows):
+        self.rows = rows
+
+    def on_row(self, experiment, cell, row, outcome):
+        self.rows -= 1
+        if self.rows == 0:
+            raise SweepKilled()
+
+
 class TestJournalResume:
     def test_killed_campaign_resumes_re_running_only_incomplete_cells(self, tmp_path):
         journal = tmp_path / "campaign.jsonl"
@@ -136,23 +152,22 @@ class TestJournalResume:
         run = functools.partial(logging_cell, log_path=str(log))
         grid = {"x": list(range(16))}  # x4 reps = 64 cells
 
-        # First campaign dies after 30 completed cells (simulated by mapping
-        # only the first 30 cells of the very same expansion the harness
-        # would produce -- journal keys ignore the cell index, so they match).
-        cells = expand_grid(grid, repetitions=4, base_seed=1234)
-        first = fast_executor(workers=2, journal=str(journal))
-        completed = list(first.map(CellFunction(run), cells[:30]))
-        assert len(completed) == 30
-        assert len(log.read_text().splitlines()) == 30
+        # The first campaign dies once the harness has consumed 30 cells.
+        # Workers may have finished a few more behind it; the harness never
+        # consumed those, so they are not journaled and run again below.
+        with pytest.raises(SweepKilled):
+            run_experiment("resume", run, grid, repetitions=4, base_seed=1234,
+                           executor=fast_executor(workers=2), journal=journal,
+                           listener=KillAfterRows(30))
         assert len(journal.read_text().splitlines()) == 30
+        executed_before = len(log.read_text().splitlines())
+        assert executed_before >= 30
 
-        # Restart: exactly the 34 incomplete cells run, nothing cached re-runs.
-        second = fast_executor(workers=2, journal=str(journal))
-        resumed = run_experiment("resume", run, grid, repetitions=4,
-                                 base_seed=1234, executor=second)
+        # Restart: exactly the 34 incomplete cells run, nothing journaled re-runs.
+        resumed = run_experiment("resume", run, grid, repetitions=4, base_seed=1234,
+                                 executor=fast_executor(workers=2), journal=journal)
         assert resumed.cache_hits == 30
-        executions = log.read_text().splitlines()
-        assert len(executions) == 30 + 34
+        assert len(log.read_text().splitlines()) - executed_before == 34
         serial = run_experiment("resume", run, grid, repetitions=4,
                                 base_seed=1234, executor="serial")
         assert resumed.rows == serial.rows
@@ -164,12 +179,24 @@ class TestJournalResume:
         run = functools.partial(logging_cell, log_path=str(log))
         grid = {"x": [1, 2, 3]}
         run_experiment("vers", run, grid, repetitions=1,
-                       executor=fast_executor(workers=2, journal=str(journal)))
+                       executor=fast_executor(workers=2), journal=journal)
         # Same journal, different run function: nothing replays.
         other = run_experiment("vers", seeded_metrics, {"a": [1], "b": [2]},
-                               repetitions=1,
-                               executor=fast_executor(workers=2, journal=str(journal)))
+                               repetitions=1, executor=fast_executor(workers=2),
+                               journal=journal)
         assert other.cache_hits == 0
+
+    def test_fully_journaled_campaign_spawns_no_worker(self, tmp_path):
+        journal = tmp_path / "campaign.jsonl"
+        grid = {"a": [1, 2], "b": [10]}
+        first = run_experiment("replay", seeded_metrics, grid, repetitions=2,
+                               executor=fast_executor(workers=2), journal=journal)
+        executor = fast_executor(workers=2)
+        replayed = run_experiment("replay", seeded_metrics, grid, repetitions=2,
+                                  executor=executor, journal=journal)
+        assert replayed.cache_hits == 4
+        assert replayed.rows == first.rows
+        assert executor.last_stats is None  # no campaign was started
 
 
 class TestScenarioDigests:

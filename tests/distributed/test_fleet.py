@@ -5,16 +5,17 @@ testable in one process: a thousand workers are a thousand coroutines on
 the scheduler's own event loop, no sockets or forks.  The contracts:
 
 * a 1000-worker fleet drains a multi-thousand-cell campaign, yields rows
-  bit-identical to serial execution in submission order, journals them,
-  and evicts **nobody** (heartbeat liveness under full load);
-* a journal-resumed campaign on a fresh fleet re-executes only the
-  incomplete cells.
+  bit-identical to serial execution in submission order, and evicts
+  **nobody** (heartbeat liveness under full load);
+* a journal-resumed sweep (``run_experiment(..., journal=)``) on a fresh
+  fleet re-executes only the incomplete cells.
 """
 
 from __future__ import annotations
 
-from repro.distributed import Scheduler
+from repro.distributed import Scheduler, inproc_fleet
 from repro.experiments.grid import CellFunction, expand_grid
+from repro.experiments.harness import run_experiment
 
 
 def fleet_metrics(seed, i):
@@ -24,20 +25,15 @@ def fleet_metrics(seed, i):
 
 
 class TestThousandWorkerFleet:
-    def test_1000_workers_drain_3000_cells_bit_identically(self, tmp_path):
-        journal = tmp_path / "fleet.jsonl"
+    def test_1000_workers_drain_3000_cells_bit_identically(self):
         cells = expand_grid({"i": list(range(750))}, repetitions=4, base_seed=4242)
         fn = CellFunction(fleet_metrics)
         serial = [fn(cell) for cell in cells]
 
-        with Scheduler(
-            "inproc://",
-            journal=str(journal),
-            stall_timeout=60.0,
-        ) as scheduler:
+        with Scheduler("inproc://", stall_timeout=60.0) as scheduler:
             for _ in range(1000):
                 scheduler.spawn_local_worker(inline=True)
-            outcomes = list(scheduler.run_campaign(fn, cells, version="fleet-v1"))
+            outcomes = list(scheduler.run_campaign(fn, cells))
             stats = scheduler.stats
 
         assert len(outcomes) == len(cells)
@@ -55,24 +51,20 @@ class TestThousandWorkerFleet:
 
     def test_journal_resume_re_executes_only_incomplete_cells(self, tmp_path):
         journal = tmp_path / "fleet.jsonl"
-        cells = expand_grid({"i": list(range(150))}, repetitions=4, base_seed=99)
+        grid = {"i": list(range(150))}
+
+        # The first sweep covers 450 of the 600 cells (repetitions 0-2).
+        first = run_experiment("fleet", fleet_metrics, grid, repetitions=3,
+                               base_seed=99, executor=inproc_fleet(50), journal=journal)
+        assert len(first.rows) == 450
+
+        # The resumed sweep replays 450 from the journal, executes 150.
+        executor = inproc_fleet(50)
+        resumed = run_experiment("fleet", fleet_metrics, grid, repetitions=4,
+                                 base_seed=99, executor=executor, journal=journal)
         fn = CellFunction(fleet_metrics)
-
-        # First campaign "dies" after 450 of 600 cells.
-        with Scheduler("inproc://", journal=str(journal), stall_timeout=60.0) as first:
-            for _ in range(50):
-                first.spawn_local_worker(inline=True)
-            done = list(first.run_campaign(fn, cells[:450], version="fleet-v2"))
-            assert len(done) == 450
-
-        # The resumed campaign replays 450 from the journal, executes 150.
-        with Scheduler("inproc://", journal=str(journal), stall_timeout=60.0) as second:
-            for _ in range(50):
-                second.spawn_local_worker(inline=True)
-            outcomes = list(second.run_campaign(fn, cells, version="fleet-v2"))
-            stats = second.stats
-
-        assert [o.metrics for o in outcomes] == [fn(c).metrics for c in cells]
-        assert stats.journal_hits == 450
-        assert stats.results == 150
-        assert stats.evictions == 0
+        cells = expand_grid(grid, repetitions=4, base_seed=99)
+        assert [o.metrics for o in resumed.outcomes] == [fn(c).metrics for c in cells]
+        assert resumed.cache_hits == 450
+        assert executor.stats.results == 150
+        assert executor.stats.evictions == 0

@@ -20,9 +20,10 @@ import time
 
 import pytest
 
-from repro.distributed import DistributedExecutor, Scheduler, protocol
+from repro.distributed import DistributedExecutor, Scheduler, inproc_fleet, protocol
 from repro.distributed.scheduler import WORKER_LOST, CampaignStalled
 from repro.experiments.grid import CellFunction, expand_grid
+from repro.experiments.harness import run_experiment
 
 
 def plain_cell(seed, x):
@@ -321,6 +322,83 @@ class TestHostileWorkerFrames:
         assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
 
 
+class TestResultOwnership:
+    """A result counts only from the worker holding the cell, for that cell."""
+
+    @pytest.mark.parametrize(
+        "held, outcome_of",
+        [
+            # Holding cells 0 and 1, the worker files cell 0's outcome under
+            # index 1: the row (x=1, y=14) must not come out twice.
+            (2, 0),
+            # Holding cell 0 only, the worker files cell 1's result.
+            (1, 1),
+        ],
+        ids=["another-cells-outcome", "unheld-position"],
+    )
+    def test_spoofed_result_drops_the_worker_and_rows_stay_exact(
+        self, wire, caplog, held, outcome_of
+    ):
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        cells = expand_grid({"x": [1, 2, 3]}, repetitions=1)
+        scheduler = Scheduler(heartbeat_interval=0.1, heartbeat_timeout=60.0).start()
+        results, errors = [], []
+        consumer = threading.Thread(
+            target=collect_campaign, args=(scheduler, cells, results, errors)
+        )
+        consumer.start()
+        hostile = honest = None
+        try:
+            hostile = FakeWorker(wire, scheduler.address, "hostile")
+            tasks = [hostile.take_cell() for _ in range(held)]
+            assert [task["index"] for task in tasks] == list(range(held))
+            spoofed = CellFunction(plain_cell)(cells[outcome_of])
+            wire.send(hostile.sock, {
+                "op": "result", "campaign": tasks[0]["campaign"], "index": 1,
+                "outcome": protocol.encode_payload(spoofed),
+            })
+            try:  # then the honest results of what it holds, if still connected
+                for task in tasks:
+                    hostile.finish(task)
+            except (protocol.ConnectionClosed, OSError):
+                pass
+
+            honest = FakeWorker(wire, scheduler.address, "honest")
+            deadline = time.monotonic() + 10.0
+            while consumer.is_alive() and time.monotonic() < deadline:
+                try:
+                    honest.finish(honest.take_cell(timeout=0.5))
+                except AssertionError:  # nothing pending right now
+                    pass
+            consumer.join(timeout=5.0)
+            assert not consumer.is_alive() and not errors
+            assert [(o.cell, o.metrics) for o in results] == [
+                (cell, CellFunction(plain_cell)(cell).metrics) for cell in cells
+            ]
+            hostile.assert_dropped()
+            assert scheduler.stats.retries == held
+            assert scheduler.stats.results == len(cells)
+        finally:
+            for worker in (hostile, honest):
+                if worker is not None:
+                    worker.close()
+            scheduler.close()
+            consumer.join(timeout=5.0)
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
+
+
+    def test_a_nan_parameter_still_matches_its_own_cell(self):
+        # nan != nan: the ownership check must not reject the honest result
+        # of a cell whose parameter is nan.
+        result = run_experiment("nan", nan_aware_cell, {"x": [float("nan"), 1.0]},
+                                repetitions=1, executor=inproc_fleet(2, stall_timeout=30.0))
+        assert result.column("finite") == [False, True]
+
+
+def nan_aware_cell(seed, x):
+    return {"finite": x == x}
+
+
 class TestHostileSchedulerFrames:
     """The worker drops a connection that sends a malformed or retired frame."""
 
@@ -381,6 +459,45 @@ class TestHostileSchedulerFrames:
         executed, ops = asyncio.run(scenario())
         assert executed == 0
         assert set(ops) <= {"heartbeat"}
+
+
+class TestWelcomeHeartbeatInterval:
+    @pytest.mark.parametrize("interval", ["soon", 0, float("nan"), -1.0, True],
+                             ids=["string", "zero", "nan", "negative", "bool"])
+    def test_bad_interval_is_a_protocol_error_not_a_crash(self, interval):
+        """The worker drops the connection before pulling any cell, and
+        ``run()`` returns (a worker without ``once`` would reconnect)."""
+
+        from repro.distributed.comm import core as comm_core
+        from repro.distributed.comm.core import CommError
+        from repro.distributed.worker import AsyncWorker
+
+        async def scenario():
+            ops = []
+            closed = asyncio.Event()
+
+            async def fake_scheduler(comm):
+                try:
+                    assert (await comm.recv())["op"] == "hello"
+                    await comm.send({"op": "welcome", "heartbeat_interval": interval})
+                    while True:
+                        ops.append((await comm.recv())["op"])
+                except CommError:
+                    closed.set()
+
+            lst = comm_core.listener("inproc://", fake_scheduler)
+            await lst.start()
+            worker = AsyncWorker(lst.address, once=True, reply_timeout=5.0)
+            try:
+                executed = await asyncio.wait_for(worker.run(), timeout=5.0)
+                await asyncio.wait_for(closed.wait(), timeout=5.0)
+            finally:
+                await lst.stop()
+            return executed, ops
+
+        executed, ops = asyncio.run(scenario())
+        assert executed == 0
+        assert ops == []
 
 
 class TestStallGuard:

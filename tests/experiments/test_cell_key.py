@@ -1,6 +1,6 @@
 """Byte-identity of the precomputed :class:`CellKeyer` against the reference.
 
-``cell_key`` hashes key on-disk caches, campaign journals and store
+``cell_key`` hashes key resume journals and store
 partitions: the optimized keyer must produce the *same JSON blob bytes*
 (hence the same SHA-256) as the reference implementation for every cell,
 including adversarial parameter values -- unicode, floats, negative seeds,
@@ -19,7 +19,7 @@ def _cell_key_uncached(experiment, cell, version=""):
     """Reference implementation of ``cell_key`` (no precomputation).
 
     Kept verbatim as the ground truth the keyer must match byte for byte,
-    because these hashes key on-disk caches, campaign journals and store
+    because these hashes key resume journals and store
     partitions.
     """
 

@@ -8,7 +8,7 @@ from repro.experiments.figure2 import (
     run_figure2,
     run_figure2_point,
 )
-from repro.experiments.harness import ExperimentRunner, sweep
+from repro.experiments.harness import run_experiment
 from repro.experiments.ratio_checks import (
     check_batch_ratio,
     check_bicriteria_ratio,
@@ -19,14 +19,15 @@ from repro.experiments.reporting import ascii_plot, ascii_table, to_csv
 
 
 class TestHarness:
-    def test_sweep_runs_cross_product_with_repetitions(self):
+    def test_run_experiment_runs_cross_product_with_repetitions(self):
         calls = []
 
         def run(seed, a, b):
             calls.append((seed, a, b))
             return {"value": a * 10 + b, "seed_used": seed}
 
-        result = sweep("demo", run, repetitions=2, base_seed=100, a=[1, 2], b=[3])
+        result = run_experiment("demo", run, {"a": [1, 2], "b": [3]},
+                                repetitions=2, base_seed=100)
         assert len(result) == 4
         assert len(calls) == 4
         assert {row["a"] for row in result.rows} == {1, 2}
@@ -38,7 +39,7 @@ class TestHarness:
         def run(seed, n):
             return {"metric": n + seed * 0}
 
-        result = sweep("demo", run, repetitions=3, n=[1, 2])
+        result = run_experiment("demo", run, {"n": [1, 2]}, repetitions=3)
         assert len(result.filter(n=1)) == 3
         means = result.grouped_mean("n", "metric")
         assert means == {1: 1.0, 2: 2.0}
@@ -47,18 +48,16 @@ class TestHarness:
         def run(seed):
             return {"metric": float(seed)}
 
-        result = sweep("demo", run, repetitions=4, base_seed=0)
+        result = run_experiment("demo", run, repetitions=4, base_seed=0)
         summary = result.aggregate()["metric"]
         assert summary.count == 4
         assert summary.mean == pytest.approx(1.5)
 
     def test_invalid_repetitions(self):
-        runner = ExperimentRunner(name="x", run=lambda seed: {}, repetitions=0)
         with pytest.raises(ValueError):
-            runner.execute()
+            run_experiment("x", lambda seed: {}, repetitions=0)
 
-    def test_sink_receives_every_row_including_cache_replays(self, tmp_path):
-        from repro.experiments.harness import run_experiment
+    def test_sink_receives_every_row_including_journal_replays(self, tmp_path):
         from repro.store.columnar import CampaignStore
 
         def run(seed, n):
@@ -66,21 +65,20 @@ class TestHarness:
 
         store = CampaignStore(tmp_path / "store", campaign="c", fmt="jsonl")
         first = run_experiment("demo", run, {"n": [1, 2]}, repetitions=1,
-                               cache=tmp_path / "cache", sink=store)
+                               journal=tmp_path / "j.jsonl", sink=store)
         assert len(store) == 2
         assert store.rows() == first.rows
 
-        # A cached re-run streams the replayed rows into a second campaign.
+        # A resumed re-run streams the replayed rows into a second campaign.
         rerun_store = CampaignStore(tmp_path / "store", campaign="rerun", fmt="jsonl")
         second = run_experiment("demo", run, {"n": [1, 2]}, repetitions=1,
-                                cache=tmp_path / "cache", sink=rerun_store)
+                                journal=tmp_path / "j.jsonl", sink=rerun_store)
         assert all(outcome.cached for outcome in second.outcomes)
         merged = CampaignStore(tmp_path / "store")
         assert merged.campaigns() == ["c", "rerun"]
         assert merged.rows(campaign="rerun") == first.rows
 
     def test_sink_accepts_a_bare_path(self, tmp_path):
-        from repro.experiments.harness import run_experiment
         from repro.store.columnar import CampaignStore
 
         def run(seed):

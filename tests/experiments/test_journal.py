@@ -1,11 +1,23 @@
-"""Campaign journal tests: keys, replay, corruption tolerance, versioning."""
+"""Resume journal tests: keys, replay, corruption tolerance, versioning."""
 
 from __future__ import annotations
 
 import json
 
-from repro.distributed.campaign import CampaignJournal, journal_key
 from repro.experiments.grid import CellOutcome, expand_grid
+from repro.experiments.harness import run_experiment, run_fingerprint
+from repro.experiments.journal import CampaignJournal, journal_key
+
+#: One journal line exactly as ``CampaignJournal.record`` has always written
+#: it: sorted keys, default separators, ``journal_key(cell, "v1")`` of the
+#: cell ``x=7, seed=1234, repetition=0``.  Journals already on disk must
+#: keep resuming, so neither the format nor the key may drift.
+PUBLISHED_LINE = (
+    '{"elapsed_seconds": 0.125, '
+    '"key": "c374b5b527d7505f1a901a567a0b49ab6834bce35b2a7234b934193d87f520d9", '
+    '"metrics": {"label": "a", "v": 2.5}, "params": {"x": 7}, '
+    '"repetition": 0, "seed": 1234}\n'
+)
 
 
 def outcome_for(cell, value):
@@ -69,3 +81,43 @@ class TestJournal:
         assert entry["params"] == {"x": 7}
         assert entry["seed"] == cell.seed
         assert entry["metrics"] == {"v": 2.5}
+
+
+class TestPublishedFormat:
+    def test_record_writes_the_published_line_byte_for_byte(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        (cell,) = expand_grid({"x": [7]}, repetitions=1)
+        outcome = CellOutcome(cell=cell, metrics={"v": 2.5, "label": "a"},
+                              elapsed_seconds=0.125)
+        assert CampaignJournal(path).record(cell, outcome, "v1")
+        assert path.read_text(encoding="utf-8") == PUBLISHED_LINE
+
+    def test_a_published_line_replays(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        path.write_text(PUBLISHED_LINE, encoding="utf-8")
+        (cell,) = expand_grid({"x": [7]}, repetitions=1)
+        replayed = CampaignJournal(path).lookup(cell, "v1")
+        assert replayed is not None and replayed.cached is True
+        assert replayed.metrics == {"label": "a", "v": 2.5}
+        assert replayed.elapsed_seconds == 0.125
+
+
+def never_called(seed, x):
+    raise AssertionError("a journaled cell must not execute")
+
+
+class TestHarnessReplaysPublishedLines:
+    def test_run_experiment_replays_a_line_in_the_published_format(self, tmp_path):
+        # The same line, keyed for this run function's fingerprint.
+        (cell,) = expand_grid({"x": [7]}, repetitions=1)
+        key = journal_key(cell, run_fingerprint(never_called))
+        path = tmp_path / "j.jsonl"
+        path.write_text(
+            PUBLISHED_LINE.replace(journal_key(cell, "v1"), key), encoding="utf-8"
+        )
+        result = run_experiment("published", never_called, {"x": [7]},
+                                repetitions=1, journal=path)
+        assert result.cache_hits == 1
+        assert result.rows == [
+            {"experiment": "published", "seed": 1234, "x": 7, "label": "a", "v": 2.5}
+        ]

@@ -1,4 +1,4 @@
-"""Tests of the parallel sweep engine: executors, determinism, cache, errors.
+"""Tests of the parallel sweep engine: executors, determinism, resume, errors.
 
 The run functions live at module level so they are picklable by the
 process-pool executor.
@@ -6,6 +6,7 @@ process-pool executor.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import sys
@@ -14,7 +15,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.experiments.cache import ResultCache
 from repro.experiments.executors import (
     JOBS_ENV_VAR,
     ExecutorSpecError,
@@ -323,61 +323,111 @@ class TestErrorCapture:
         assert "ValueError" in failed.error
 
 
-class TestResultCache:
-    def test_rerun_hits_cache_and_skips_execution(self, tmp_path):
+class TestJournalResume:
+    def test_rerun_replays_from_the_journal_and_skips_execution(self, tmp_path):
         CALL_LOG.clear()
-        cache = ResultCache(tmp_path)
+        journal = tmp_path / "sweep.jsonl"
         first = run_experiment("cached", counting_cell, {"x": [1, 2, 3]},
-                               repetitions=2, cache=cache, executor="serial")
+                               repetitions=2, journal=journal, executor="serial")
         assert len(CALL_LOG) == 6
-        assert cache.stats.stores == 6
+        assert len(journal.read_text().splitlines()) == 6
         assert first.cache_hits == 0
 
         second = run_experiment("cached", counting_cell, {"x": [1, 2, 3]},
-                                repetitions=2, cache=cache, executor="serial")
+                                repetitions=2, journal=journal, executor="serial")
         assert len(CALL_LOG) == 6  # nothing re-executed
         assert second.cache_hits == 6
+        assert all(outcome.cached for outcome in second.outcomes)
         assert second.rows == first.rows
 
-    def test_partial_cache_recomputes_only_missing_cells(self, tmp_path):
+    def test_partial_journal_recomputes_only_missing_cells(self, tmp_path):
         CALL_LOG.clear()
-        cache = ResultCache(tmp_path)
+        journal = tmp_path / "sweep.jsonl"
         run_experiment("partial", counting_cell, {"x": [1, 2]},
-                       repetitions=1, cache=cache)
+                       repetitions=1, journal=journal)
         assert len(CALL_LOG) == 2
         grown = run_experiment("partial", counting_cell, {"x": [1, 2, 3]},
-                               repetitions=1, cache=cache)
+                               repetitions=1, journal=journal)
         assert len(CALL_LOG) == 3  # only x=3 ran
         assert grown.cache_hits == 2
         assert grown.column("double") == [2, 4, 6]
 
     def test_different_function_does_not_reuse_entries(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        run_experiment("vers", counting_cell, {"x": [1]}, repetitions=1, cache=cache)
+        journal = tmp_path / "sweep.jsonl"
+        run_experiment("vers", counting_cell, {"x": [1]}, repetitions=1, journal=journal)
         other = run_experiment("vers", seeded_metrics, {"a": [1], "b": [1]},
-                               repetitions=1, cache=cache)
+                               repetitions=1, journal=journal)
         assert other.cache_hits == 0
         assert run_fingerprint(counting_cell) != run_fingerprint(seeded_metrics)
 
     def test_unserialisable_metrics_are_recomputed_not_corrupted(self, tmp_path):
-        cache = ResultCache(tmp_path)
-
+        journal = tmp_path / "sweep.jsonl"
         result = run_experiment("rich", _rich_object_cell, {"x": [1]},
-                                repetitions=1, cache=cache)
-        assert cache.stats.skipped == 1
+                                repetitions=1, journal=journal)
+        assert not journal.exists()  # nothing persistable was written
         again = run_experiment("rich", _rich_object_cell, {"x": [1]},
-                               repetitions=1, cache=cache)
+                               repetitions=1, journal=journal)
         assert again.cache_hits == 0
         assert isinstance(again.rows[0]["payload"], set)
         assert result.rows[0]["payload"] == again.rows[0]["payload"]
 
-    def test_clear_empties_the_cache(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        run_experiment("clear", counting_cell, {"x": [5]}, repetitions=1, cache=cache)
-        assert cache.clear() == 1
-        rerun = run_experiment("clear", counting_cell, {"x": [5]},
-                               repetitions=1, cache=cache)
-        assert rerun.cache_hits == 0
+    def test_killed_serial_sweep_resumes_running_only_unconsumed_cells(self, tmp_path):
+        CALL_LOG.clear()
+        journal = tmp_path / "sweep.jsonl"
+        with pytest.raises(SweepKilled):
+            run_experiment("killed", counting_cell, {"x": list(range(8))},
+                           repetitions=1, journal=journal, executor="serial",
+                           listener=KillAfterRows(5))
+        assert len(journal.read_text().splitlines()) == 5
+        CALL_LOG.clear()
+        resumed = run_experiment("killed", counting_cell, {"x": list(range(8))},
+                                 repetitions=1, journal=journal, executor="serial")
+        assert resumed.cache_hits == 5
+        assert [x for _, x in CALL_LOG] == [5, 6, 7]
+        assert resumed.column("double") == [2 * x for x in range(8)]
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="forked pool keeps the test module's cells picklable",
+    )
+    def test_process_pool_sweep_resumes_from_the_journal(self, tmp_path):
+        journal = tmp_path / "sweep.jsonl"
+        log = tmp_path / "executions.log"
+        log.touch()
+        run = functools.partial(logging_cell, log_path=str(log))
+        pool = ProcessPoolExecutor(2, start_method="fork")
+        run_experiment("pool", run, GRID_4x4, repetitions=1, base_seed=5,
+                       journal=journal, executor=pool)
+        assert len(log.read_text().splitlines()) == 16
+        grown = {"a": [1, 2, 3, 4], "b": [10, 20, 30, 40, 50, 60]}
+        resumed = run_experiment("pool", run, grown, repetitions=1, base_seed=5,
+                                 journal=journal, executor=pool)
+        assert resumed.cache_hits == 16
+        assert len(log.read_text().splitlines()) == 16 + 8  # only b=50, 60 ran
+        serial = run_experiment("pool", seeded_metrics, grown, repetitions=1,
+                                base_seed=5, executor="serial")
+        assert resumed.column("value") == serial.column("value")
+
+
+class SweepKilled(Exception):
+    """Stands in for the signal that kills a sweep mid-way."""
+
+
+class KillAfterRows(SweepListener):
+    def __init__(self, rows):
+        self.rows = rows
+
+    def on_row(self, experiment, cell, row, outcome):
+        self.rows -= 1
+        if self.rows == 0:
+            raise SweepKilled()
+
+
+def logging_cell(seed, a, b, log_path=""):
+    # One line per actual execution; O_APPEND keeps concurrent writers safe.
+    with open(log_path, "a", encoding="utf-8") as handle:
+        handle.write(f"{seed},{a},{b}\n")
+    return seeded_metrics(seed, a, b)
 
 
 def _rich_object_cell(seed, x):

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from repro.distributed.campaign import CampaignJournal
 from repro.experiments.grid import CellOutcome, expand_grid
+from repro.experiments.journal import CampaignJournal
 from repro.store.cli import main
 from repro.store.columnar import CampaignStore
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.experiments.grid import CellOutcome, expand_grid
+from repro.experiments.grid import CellOutcome, cell_key, expand_grid
 from repro.store.columnar import (
     META_COLUMNS,
     CampaignStore,
@@ -42,17 +42,18 @@ class TestRoundTrip:
         store.flush()
         assert CampaignStore(tmp_path / "s").rows() == rows
 
-    def test_write_replay_matches_cache_codec(self, tmp_path):
+    def test_write_keys_the_record_like_the_journal(self, tmp_path):
         store = CampaignStore(tmp_path / "s")
         (cell,) = expand_grid({"n": [4]}, repetitions=1, base_seed=9)
         metrics = {"ratio": 2.4650798028323913, "family": "parallel"}
         assert store.write("fig2", cell, outcome_for(cell, metrics), "v1")
         store.flush()
-        replayed = CampaignStore(tmp_path / "s").replay("fig2", cell, "v1")
-        assert replayed is not None
-        assert replayed.metrics == metrics
-        assert replayed.cached is True
-        assert CampaignStore(tmp_path / "s").replay("fig2", cell, "v2") is None
+        (record,) = CampaignStore(tmp_path / "s").records()
+        assert record["key"] == cell_key("fig2", cell, "v1")
+        assert record["fingerprint"] == "v1"
+        assert CampaignStore(tmp_path / "s").rows() == [
+            {"experiment": "fig2", "seed": 9, "n": 4, **metrics}
+        ]
 
     def test_non_replayable_rows_are_skipped_not_stored(self, tmp_path):
         store = CampaignStore(tmp_path / "s")

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from repro.distributed.campaign import CampaignJournal, load_journal_entries
 from repro.experiments.grid import CellOutcome, expand_grid
+from repro.experiments.journal import CampaignJournal, load_journal_entries
 from repro.experiments.reporting import to_csv
 from repro.store.columnar import CampaignStore
 from repro.store.ingest import ingest, ingest_csv, ingest_journal
